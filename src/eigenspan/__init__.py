@@ -19,7 +19,6 @@ from .dense import (
     condition_number,
     dense_sym_eig,
     numerical_rank,
-    thin_qr,
 )
 from .diagnostics import (
     BoundReport,
@@ -45,14 +44,12 @@ from .engine import (
 )
 from .errors import (
     BoundUndefinedError,
-    CoefficientQuadratureError,
     EigenspanError,
     HypothesisViolationError,
     IntervalError,
     MalformedFileError,
     MatrixFormatError,
     NotSymmetricError,
-    RankDeficientError,
     RecurrenceDivergenceError,
 )
 from .estimators import (

@@ -2,7 +2,7 @@
 
 Every JSON report is validated against the schema shipped next to this
 module before it is written, and runs are fully deterministic for a fixed
-seed and worker count (the only varying field is ``wall_time_s``).
+seed (the only varying field is ``wall_time_s``).
 
 Exit codes: 0 success/converged, 1 input or configuration error, 2 the
 solve finished without reaching the requested tolerance.
@@ -11,7 +11,6 @@ solve finished without reaching the requested tolerance.
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from importlib import resources
@@ -25,7 +24,7 @@ from .errors import EigenspanError
 from .estimators import estimate_count, recommended_block_size, select_degree
 from .dense import condition_number, numerical_rank
 from .diagnostics import filter_probe, probe_csv
-from .filters import build_moment_block, make_filter_spec
+from .filters import BASES, build_moment_block, make_filter_spec
 from .sparse import load_matrix_market
 from .transform import (
     MappedOperator,
@@ -36,8 +35,6 @@ from .transform import (
 )
 
 SCHEMA_VERSION = "1"
-
-BASES = ("chebyshev", "scaled", "monomial")
 
 
 def _load_schema():
@@ -113,12 +110,6 @@ def _add_filter_args(p):
 def _add_baseline_args(p):
     p.add_argument("--quad-nodes", type=int, default=16, help="contour quadrature node count")
     p.add_argument("--krylov-tol", type=float, default=1e-12, help="shifted-solve tolerance")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("EIGENSPAN_THREADS", "1")),
-        help="workers for the shifted solves (default $EIGENSPAN_THREADS or 1)",
-    )
 
 
 def build_parser():
@@ -206,6 +197,27 @@ def _resolve_sizes(a, tr, iv, args, count_degree):
     return est, n_ev_target, ell
 
 
+def _config_echo(args, ell, count_degree, n_ev_target, **method):
+    """Settings echoed into a solve or baseline report; ``method`` adds the
+    method-specific ones."""
+    return {
+        "matrix_path": args.matrix_path,
+        "a": args.a,
+        "b": args.b,
+        "m": args.m,
+        "ell": int(ell),
+        "tol": args.tol,
+        "max_restarts": args.max_restarts,
+        "seed": args.seed,
+        "spectral_bounds": args.spectral_bounds,
+        "lanczos_steps": args.lanczos_steps,
+        "count_degree": int(count_degree),
+        "samples": args.samples,
+        "n_ev_target": int(n_ev_target),
+        **method,
+    }
+
+
 def _count_estimate_json(est):
     return {
         "n_ev_tilde": float(est.n_ev_tilde),
@@ -290,23 +302,9 @@ def cmd_solve(args):
     rep = run_cjssrr(
         a, tr, iv, spec, v0, tol=args.tol, max_restarts=args.max_restarts, n_ev_target=n_ev_target
     )
-    config = {
-        "matrix_path": args.matrix_path,
-        "a": args.a,
-        "b": args.b,
-        "m": args.m,
-        "ell": int(ell),
-        "degree": int(degree),
-        "basis": args.basis,
-        "tol": args.tol,
-        "max_restarts": args.max_restarts,
-        "seed": args.seed,
-        "spectral_bounds": args.spectral_bounds,
-        "lanczos_steps": args.lanczos_steps,
-        "count_degree": int(count_degree),
-        "samples": args.samples,
-        "n_ev_target": int(n_ev_target),
-    }
+    config = _config_echo(
+        args, ell, count_degree, n_ev_target, degree=int(degree), basis=args.basis
+    )
     report = _solve_report_json(rep, "solve", config, tr, est, time.perf_counter() - start)
     _emit_json(report, args.report_path)
     return 0 if rep.converged else 2
@@ -365,26 +363,12 @@ def cmd_baseline(args):
     rep = run_baseline(
         a, tr, iv, args.m, ell, v0,
         q=args.quad_nodes, krylov_tol=args.krylov_tol, tol=args.tol,
-        max_restarts=args.max_restarts, n_ev_target=n_ev_target, threads=args.threads,
+        max_restarts=args.max_restarts, n_ev_target=n_ev_target,
     )
-    config = {
-        "matrix_path": args.matrix_path,
-        "a": args.a,
-        "b": args.b,
-        "m": args.m,
-        "ell": int(ell),
-        "quad_nodes": args.quad_nodes,
-        "krylov_tol": args.krylov_tol,
-        "tol": args.tol,
-        "max_restarts": args.max_restarts,
-        "seed": args.seed,
-        "threads": args.threads,
-        "spectral_bounds": args.spectral_bounds,
-        "lanczos_steps": args.lanczos_steps,
-        "count_degree": int(count_degree),
-        "samples": args.samples,
-        "n_ev_target": int(n_ev_target),
-    }
+    config = _config_echo(
+        args, ell, count_degree, n_ev_target,
+        quad_nodes=args.quad_nodes, krylov_tol=args.krylov_tol,
+    )
     report = _solve_report_json(rep, "baseline", config, tr, est, time.perf_counter() - start)
     _emit_json(report, args.report_path)
     return 0 if rep.converged else 2
@@ -411,29 +395,13 @@ def cmd_bench(args):
     rep_base = run_baseline(
         a, tr, iv, args.m, ell, v0,
         q=args.quad_nodes, krylov_tol=args.krylov_tol, tol=args.tol,
-        max_restarts=args.max_restarts, n_ev_target=n_ev_target, threads=args.threads,
+        max_restarts=args.max_restarts, n_ev_target=n_ev_target,
     )
     base_time = time.perf_counter() - t_base
 
-    shared = {
-        "matrix_path": args.matrix_path,
-        "a": args.a,
-        "b": args.b,
-        "m": args.m,
-        "ell": int(ell),
-        "tol": args.tol,
-        "max_restarts": args.max_restarts,
-        "seed": args.seed,
-        "spectral_bounds": args.spectral_bounds,
-        "lanczos_steps": args.lanczos_steps,
-        "count_degree": int(count_degree),
-        "samples": args.samples,
-        "n_ev_target": int(n_ev_target),
-    }
+    shared = _config_echo(args, ell, count_degree, n_ev_target)
     cj_config = dict(shared, degree=int(degree), basis=args.basis)
-    base_config = dict(
-        shared, quad_nodes=args.quad_nodes, krylov_tol=args.krylov_tol, threads=args.threads
-    )
+    base_config = dict(shared, quad_nodes=args.quad_nodes, krylov_tol=args.krylov_tol)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "bench",

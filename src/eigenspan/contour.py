@@ -4,24 +4,18 @@ Moments S_k = sum_j w_j z_j^k (z_j I - A)^{-1} V are assembled from
 trapezoidal quadrature nodes on the circle; because the nodes come in
 conjugate pairs and A, V are real, only the upper-half systems are solved
 and the conjugate contributions are folded in as 2 Re(...).  The restart /
-Rayleigh-Ritz driver is shared with the polynomial-filter solver so the two
-methods differ only in how the moment blocks are built and billed.
+Rayleigh-Ritz driver (``engine.restart_loop``) is shared with the
+polynomial-filter solver, so the two methods differ only in how the moment
+blocks are built and billed.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    SolveReport,
-    RitzSet,
-    check_convergence,
-    orthonormalize_block,
-    rayleigh_ritz,
-)
-from .sparse import MVCounter, matvec
+from .engine import restart_loop
+from .sparse import matvec
 
 
 @dataclass(frozen=True)
@@ -179,7 +173,6 @@ def run_baseline(
     tol=1e-10,
     max_restarts=30,
     n_ev_target=None,
-    threads=1,
     maxit=20000,
 ):
     """Restarted contour-moment solver, reported like the filter solver.
@@ -187,92 +180,38 @@ def run_baseline(
     Per restart: q/2 shifted block solves on the upper-half nodes (the
     conjugate nodes contribute the conjugated solutions for free), moment
     assembly S_k = sum_j 2 Re(w_j z_j^k X_j), then the shared
-    orthonormalize / project / convergence-test path.  ``mv_exact`` counts
-    every complex matrix application at face value plus the projection's
-    real ones; ``mv_equivalent`` is 0 (no dense filter work to model).
-
-    ``threads`` > 1 solves the independent shifted systems concurrently;
-    the moment reduction always runs in node order, so results do not
-    depend on the worker count.
+    orthonormalize / project / convergence-test / restart path.
+    ``mv_exact`` counts every complex matrix application at face value plus
+    the projection's real ones; ``mv_equivalent`` is 0 (no dense filter
+    work to model).
     """
-    if n_ev_target is None:
-        raise ValueError("n_ev_target is required")
     rule = trapezoid_rule(iv, q)
-    counter = MVCounter()
-    norm_a = tr.operator_norm
-    v = np.asarray(v0, dtype=np.float64)
-    n, ell_v = v.shape
+    n, ell_v = np.shape(v0)
     if ell_v != ell:
         raise ValueError(f"V0 has {ell_v} columns, expected ell = {ell}")
-    upper = rule.upper_half
-    degraded = []
     shift_log = []
-    history = []
 
-    rs = None
-    restarts = 0
-    converged = False
-    for restarts in range(1, max_restarts + 1):
-        solve_one = lambda jj: shifted_krylov_solve(  # noqa: E731
-            a, rule.nodes[jj], v, tol=krylov_tol, maxit=maxit, counter=None
-        )
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                solves = list(pool.map(solve_one, upper))
-        else:
-            solves = [solve_one(jj) for jj in upper]
+    def build_block(v, restart, counter):
         s = np.zeros((n, m * ell))
-        for jj, (xj, stats) in zip(upper, solves):
-            counter.add(stats.mv_count)
-            shift_log.append(
-                {
-                    "restart": restarts,
-                    "node": complex(rule.nodes[jj]),
-                    "stats": stats,
-                }
-            )
+        for jj in rule.upper_half:
             zj, wj = rule.nodes[jj], rule.weights[jj]
+            xj, stats = shifted_krylov_solve(a, zj, v, tol=krylov_tol, maxit=maxit)
+            counter.add(stats.mv_count)
+            shift_log.append({"restart": restart, "node": complex(zj), "stats": stats})
             for k in range(m):
                 coeff = wj * zj**k
                 s[:, k * ell : (k + 1) * ell] += 2.0 * (
                     coeff.real * xj.real - coeff.imag * xj.imag
                 )
-        u, lost_rank = orthonormalize_block(s, f" at restart {restarts}")
-        if lost_rank is not None:
-            degraded.append(lost_rank)
-        rs = rayleigh_ritz(a, u, iv, norm_a, counter)
-        # Same wanted-pair metric as the filter solver: ghost directions
-        # landing inside the interval with O(1) residuals do not gate
-        # convergence, so they are excluded from the tracked residual.
-        inside_res = np.sort(rs.residual_norms[rs.in_interval])
-        if inside_res.size:
-            history.append(float(inside_res[: int(n_ev_target)][-1]))
-        else:
-            history.append(float("nan"))
-        converged, _ = check_convergence(rs, iv, tol, n_ev_target)
-        if converged:
-            break
-        v = s[:, :ell]
+        return s
 
-    keep = rs.in_interval & (rs.residual_norms < tol) if converged else rs.in_interval
-    kept_res = rs.residual_norms[keep]
-    return SolveReport(
-        ritz=RitzSet(
-            values=rs.values[keep],
-            vectors=rs.vectors[:, keep],
-            residual_norms=rs.residual_norms[keep],
-            in_interval=rs.in_interval[keep],
-        ),
-        converged=converged,
-        restarts=restarts,
-        max_residual=float(kept_res.max()) if kept_res.size else float("nan"),
-        mv_exact=counter.count,
-        mv_equivalent=0.0,
+    return restart_loop(
+        a, tr, iv, v0, build_block,
+        tol=tol,
+        max_restarts=max_restarts,
+        n_ev_target=n_ev_target,
+        m=m,
         degree_used=0,
-        m=int(m),
-        ell=int(ell),
-        n_ev_target=int(n_ev_target),
-        degraded_ranks=degraded,
-        residual_history=history,
+        equivalent_per_restart=0.0,
         shift_stats=shift_log,
     )

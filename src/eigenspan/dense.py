@@ -1,16 +1,17 @@
 """Dense kernels used on tall-skinny blocks and small projected matrices.
 
-All routines wrap LAPACK through numpy and normalize conventions (sign of
-the R diagonal, ascending eigenvalue order) so callers can rely on them.
+All routines wrap LAPACK through numpy and normalize conventions (ascending
+eigenvalue order, one rank rule) so callers can rely on them.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import RankDeficientError
-
 EPS = np.finfo(np.float64).eps
+#: The package's one rank rule: singular values at or below
+#: RANK_TOL * sigma_max count as zero.
+RANK_TOL = 10.0 * EPS
 
 
 class SymEig(NamedTuple):
@@ -21,41 +22,6 @@ class SymEig(NamedTuple):
 
     values: np.ndarray
     vectors: np.ndarray
-
-
-def thin_qr(s):
-    """Thin (economy) Householder QR with a nonnegative R diagonal.
-
-    Parameters
-    ----------
-    s : ndarray, shape (n, m) with n >= m
-
-    Returns
-    -------
-    (q, r) : ndarrays of shape (n, m) and (m, m)
-        ``q`` has orthonormal columns, ``r`` is upper triangular with
-        ``r[i, i] >= 0``, and ``q @ r`` reconstructs ``s``.
-
-    Raises
-    ------
-    RankDeficientError
-        If any |r[i, i]| <= max(n, m) * eps * max_j |r[j, j]|, i.e. the
-        columns of ``s`` are numerically dependent.  The exception carries
-        the count of diagonal entries above that threshold as ``rank``.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] < s.shape[1]:
-        raise ValueError(f"expected a tall matrix, got shape {s.shape}")
-    q, r = np.linalg.qr(s, mode="reduced")
-    diag = np.abs(np.diag(r))
-    tol = max(s.shape) * EPS * (diag.max() if diag.size else 0.0)
-    if np.any(diag <= tol):
-        rank = int(np.count_nonzero(diag > tol))
-        raise RankDeficientError(
-            f"columns are numerically dependent (rank {rank} of {s.shape[1]})", rank
-        )
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return q * signs, r * signs[:, None]
 
 
 def dense_sym_eig(b):
@@ -83,20 +49,22 @@ def condition_number(s):
     return float(sv[0] / sv[-1])
 
 
-def numerical_rank(s, tol_factor=10.0):
-    """Number of singular values above tol_factor * sigma_max * eps."""
-    sv = np.linalg.svd(np.asarray(s, dtype=np.float64), compute_uv=False)
-    if sv.size == 0:
-        return 0
-    return int(np.count_nonzero(sv > tol_factor * sv[0] * EPS))
+def _rank(sv):
+    """Count of singular values (descending) above RANK_TOL * sigma_max."""
+    return int(np.count_nonzero(sv > RANK_TOL * sv[0])) if sv.size else 0
 
 
-def orthonormal_range(s, tol_factor=10.0):
+def numerical_rank(s):
+    """Number of singular values above RANK_TOL * sigma_max."""
+    return _rank(np.linalg.svd(np.asarray(s, dtype=np.float64), compute_uv=False))
+
+
+def orthonormal_range(s):
     """Orthonormal basis of the numerical range of ``s`` via SVD.
 
-    Fallback used when ``thin_qr`` reports dependent columns: keeps the
-    left singular vectors whose singular values exceed
-    tol_factor * sigma_max * eps (at least one column is always kept).
+    Keeps the left singular vectors whose singular values exceed
+    RANK_TOL * sigma_max (at least one column is always kept), so the
+    basis dimension is the rank ``numerical_rank`` reports.
 
     Returns
     -------
@@ -105,5 +73,5 @@ def orthonormal_range(s, tol_factor=10.0):
     u, sv, _ = np.linalg.svd(np.asarray(s, dtype=np.float64), full_matrices=False)
     if sv.size == 0 or sv[0] == 0.0:
         raise ValueError("cannot orthonormalize an all-zero block")
-    rank = max(1, int(np.count_nonzero(sv > tol_factor * sv[0] * EPS)))
+    rank = max(1, _rank(sv))
     return u[:, :rank], rank

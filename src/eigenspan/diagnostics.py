@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundUndefinedError, HypothesisViolationError
-from .filters import jackson_factors, step_coefficients
+from .filters import gauss_legendre_panels, jackson_factors, step_coefficients
 
 PI = math.pi
 
@@ -60,13 +60,7 @@ def kernel_moments(d, k):
         raise ValueError(f"kernel defined for d >= 2, got {d}")
     if k not in (0, 1, 2, 4):
         raise ValueError(f"moment power must be in {{0, 1, 2, 4}}, got {k}")
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-    panels = max(16, d)
-    edges = np.linspace(0.0, PI, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    phi = (mids[:, None] + half * nodes[None, :]).ravel()
-    w = np.tile(half * weights, panels)
+    phi, w = gauss_legendre_panels(0.0, PI, max(16, d), 12)
     vals = kernel_value(d, phi) * phi**k
     return float(2.0 / PI * (w @ vals))
 

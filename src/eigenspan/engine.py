@@ -1,8 +1,10 @@
-"""Restarted filtered subspace iteration with Rayleigh-Ritz extraction.
+"""Restarted moment-subspace iteration with Rayleigh-Ritz extraction.
 
-Each restart applies the damped Chebyshev filters to the current block,
-orthonormalizes the stacked result, projects the *original* matrix onto
-that basis, and keeps the leading filtered block as the next start.
+Each restart builds a stacked moment block from the current start block,
+orthonormalizes it, projects the *original* matrix onto that basis, and
+keeps the leading moment block as the next start.  ``restart_loop`` is that
+driver; the damped-Chebyshev solver here and the contour baseline differ
+only in the block builder they hand it.
 """
 
 import warnings
@@ -10,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import dense_sym_eig, orthonormal_range, thin_qr
-from .errors import RankDeficientError
+from .dense import dense_sym_eig, orthonormal_range
 from .filters import build_moment_block
 from .sparse import MVCounter, matvec
 from .transform import MappedOperator
@@ -131,23 +132,126 @@ class SolveReport:
 
 
 def orthonormalize_block(s, context=""):
-    """QR-orthonormalize a stacked block, degrading gracefully on rank loss.
+    """Orthonormal basis of a stacked block's numerical range (SVD).
 
-    Returns (u, None) for the full-rank path, or (u, rank) after falling
-    back to the SVD range basis with a warning.
+    Returns (u, None) when the block has full numerical rank, or (u, rank)
+    with a warning when dependent directions were dropped; ``rank`` is the
+    column count of ``u``, the dimension the solve continues on.
     """
-    try:
-        u, _ = thin_qr(s)
+    u, rank = orthonormal_range(s)
+    if rank == s.shape[1]:
         return u, None
-    except RankDeficientError as exc:
-        u, rank = orthonormal_range(s)
-        warnings.warn(
-            f"stacked block lost rank{context}: {exc}; "
-            f"continuing on a {rank}-dimensional subspace",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return u, rank
+    warnings.warn(
+        f"stacked block lost rank{context}: rank {rank} of {s.shape[1]}",
+        RuntimeWarning,
+        stacklevel=4,
+    )
+    return u, rank
+
+
+def restart_loop(
+    a,
+    tr,
+    iv,
+    v0,
+    build_block,
+    *,
+    tol,
+    max_restarts,
+    n_ev_target,
+    m,
+    degree_used,
+    equivalent_per_restart,
+    shift_stats=(),
+):
+    """Restart / Rayleigh-Ritz driver shared by both solvers.
+
+    Parameters
+    ----------
+    a : SparseSymmetric
+        The original (untransformed) matrix.
+    tr : SpectralTransform
+    iv : TargetInterval
+    v0 : ndarray, shape (n, ell)
+        Start block.
+    build_block : callable
+        ``build_block(v, restart, counter)`` returns the stacked moment
+        block [S_0 | ... | S_{m-1}] of shape (n, m * ell) for the start
+        block ``v`` and charges its matrix applications to ``counter``.
+        It is the only step in which the methods differ.
+    tol, max_restarts, n_ev_target
+        As in ``run_cjssrr``.
+    m, degree_used, shift_stats
+        Copied into the report.
+    equivalent_per_restart : float
+        ``mv_equivalent`` charged per restart.
+
+    Returns
+    -------
+    SolveReport
+        Best effort (converged=False) when ``max_restarts`` is reached.
+    """
+    if n_ev_target is None:
+        raise ValueError("n_ev_target is required")
+    counter = MVCounter()
+    norm_a = tr.operator_norm
+    v = np.asarray(v0, dtype=np.float64)
+    ell = v.shape[1]
+    degraded = []
+    history = []
+
+    rs = None
+    restarts = 0
+    converged = False
+    for restarts in range(1, max_restarts + 1):
+        s = build_block(v, restarts, counter)
+        u, lost_rank = orthonormalize_block(s, f" at restart {restarts}")
+        if lost_rank is not None:
+            degraded.append(lost_rank)
+        rs = rayleigh_ritz(a, u, iv, norm_a, counter)
+        # Track the quality of the wanted pairs: the largest residual among
+        # the n_ev_target best in-interval pairs.  Ghost pairs (extra basis
+        # directions that land inside the interval with O(1) residuals) are
+        # excluded -- they do not gate convergence and would swamp the metric.
+        inside_res = np.sort(rs.residual_norms[rs.in_interval])
+        if inside_res.size:
+            history.append(float(inside_res[: int(n_ev_target)][-1]))
+        else:
+            history.append(float("nan"))
+        converged, _ = check_convergence(rs, iv, tol, n_ev_target)
+        if converged:
+            break
+        # Restart from the leading moment block, orthonormalized.  This
+        # changes no later search subspace in exact arithmetic (each moment
+        # column block is invariant under right-multiplying V by a
+        # nonsingular matrix), but it stops the iterate from collapsing onto
+        # the dominant directions over many restarts in floating point.
+        # Householder QR never fails: if the columns are dependent, the
+        # surplus directions come back as fresh orthonormal vectors.
+        v = np.linalg.qr(s[:, :ell], mode="reduced")[0]
+
+    keep = rs.in_interval & (rs.residual_norms < tol) if converged else rs.in_interval
+    kept_res = rs.residual_norms[keep]
+    return SolveReport(
+        ritz=RitzSet(
+            values=rs.values[keep],
+            vectors=rs.vectors[:, keep],
+            residual_norms=rs.residual_norms[keep],
+            in_interval=rs.in_interval[keep],
+        ),
+        converged=converged,
+        restarts=restarts,
+        max_residual=float(kept_res.max()) if kept_res.size else float("nan"),
+        mv_exact=counter.count,
+        mv_equivalent=restarts * equivalent_per_restart,
+        degree_used=int(degree_used),
+        m=int(m),
+        ell=ell,
+        n_ev_target=int(n_ev_target),
+        degraded_ranks=degraded,
+        residual_history=history,
+        shift_stats=list(shift_stats),
+    )
 
 
 def run_cjssrr(
@@ -190,66 +294,15 @@ def run_cjssrr(
     on the detected-rank subspace (a warning is emitted and the rank is
     recorded in ``degraded_ranks``).
     """
-    if n_ev_target is None:
-        raise ValueError("n_ev_target is required")
     a_t = MappedOperator(a, tr)
-    counter = MVCounter()
-    norm_a = tr.operator_norm
-    v = np.asarray(v0, dtype=np.float64)
-    ell = v.shape[1]
-    degraded = []
-
-    rs = None
-    restarts = 0
-    converged = False
-    history = []
-    for restarts in range(1, max_restarts + 1):
-        block = build_moment_block(a_t, v, spec, counter)
-        u, lost_rank = orthonormalize_block(block.s, f" at restart {restarts}")
-        if lost_rank is not None:
-            degraded.append(lost_rank)
-        rs = rayleigh_ritz(a, u, iv, norm_a, counter)
-        # Track the quality of the wanted pairs: the largest residual among
-        # the n_ev_target best in-interval pairs.  Ghost pairs (extra basis
-        # directions that land inside the interval with O(1) residuals) are
-        # excluded -- they do not gate convergence and would swamp the metric.
-        inside_res = np.sort(rs.residual_norms[rs.in_interval])
-        if inside_res.size:
-            history.append(float(inside_res[: int(n_ev_target)][-1]))
-        else:
-            history.append(float("nan"))
-        converged, _ = check_convergence(rs, iv, tol, n_ev_target)
-        if converged:
-            break
-        # Restart from the plain-filtered columns.  Orthonormalizing them
-        # changes no later search subspace in exact arithmetic (each moment
-        # column block is invariant under right-multiplying V by a
-        # nonsingular matrix), but it stops the iterate from collapsing onto
-        # the dominant filtered directions over many restarts in floating
-        # point.  Householder QR never fails: if the columns are dependent,
-        # the surplus directions come back as fresh orthonormal vectors.
-        v = np.linalg.qr(block.s[:, :ell], mode="reduced")[0]
-
-    keep = rs.in_interval & (rs.residual_norms < tol) if converged else rs.in_interval
-    kept_res = rs.residual_norms[keep]
-    report = SolveReport(
-        ritz=RitzSet(
-            values=rs.values[keep],
-            vectors=rs.vectors[:, keep],
-            residual_norms=rs.residual_norms[keep],
-            in_interval=rs.in_interval[keep],
-        ),
-        converged=converged,
-        restarts=restarts,
-        max_residual=float(kept_res.max()) if kept_res.size else float("nan"),
-        mv_exact=counter.count,
-        mv_equivalent=restarts
-        * mv_accounting(spec.d, spec.m, ell, a.n, a.nnz)[1],
-        degree_used=spec.d,
+    ell = np.shape(v0)[1]
+    return restart_loop(
+        a, tr, iv, v0,
+        lambda v, restart, counter: build_moment_block(a_t, v, spec, counter).s,
+        tol=tol,
+        max_restarts=max_restarts,
+        n_ev_target=n_ev_target,
         m=spec.m,
-        ell=ell,
-        n_ev_target=int(n_ev_target),
-        degraded_ranks=degraded,
-        residual_history=history,
+        degree_used=spec.d,
+        equivalent_per_restart=mv_accounting(spec.d, spec.m, ell, a.n, a.nnz)[1],
     )
-    return report

@@ -17,26 +17,8 @@ class NotSymmetricError(EigenspanError, ValueError):
     """Matrix is not symmetric (structurally or numerically)."""
 
 
-class RankDeficientError(EigenspanError, ValueError):
-    """QR factorization detected numerically dependent columns.
-
-    Attributes
-    ----------
-    rank : int
-        Number of columns judged independent.
-    """
-
-    def __init__(self, message, rank):
-        super().__init__(message)
-        self.rank = rank
-
-
 class IntervalError(EigenspanError, ValueError):
     """Requested target interval is empty or escapes the estimated spectrum."""
-
-
-class CoefficientQuadratureError(EigenspanError, RuntimeError):
-    """Adaptive quadrature for a filter coefficient failed to converge."""
 
 
 class RecurrenceDivergenceError(EigenspanError, FloatingPointError):

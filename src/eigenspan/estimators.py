@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import cheb_t
 from .errors import BoundUndefinedError
 from .filters import build_moment_block, make_filter_spec
 
@@ -86,14 +87,6 @@ def constant_degree(width_t, convention="adjusted"):
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def _cheb_t(m, x):
-    """Chebyshev T_m(x) for x >= 1 via the cosh form (no overflow for the
-    argument ranges used here; x < 1 falls back to the cos form)."""
-    if x >= 1.0:
-        return math.cosh(m * math.acosh(x))
-    return math.cos(m * math.acos(max(-1.0, x)))
-
-
 def theoretical_degree_bound(iv, m, n_ev, ell, zeta=1.0):
     """Sufficient expansion degree from the worst-case convergence analysis.
 
@@ -138,7 +131,7 @@ def theoretical_degree_bound(iv, m, n_ev, ell, zeta=1.0):
             f"uniform model needs n_ev - 1 - ell > 0, got n_ev = {n_ev}, ell = {ell}"
         )
     deg = m - 1
-    tau = _cheb_t(deg, (n_ev + 1 + ell) / (n_ev - 1 - ell)) / _cheb_t(
+    tau = cheb_t(deg, (n_ev + 1 + ell) / (n_ev - 1 - ell)) / cheb_t(
         deg, (n_ev - 1 + ell) / (n_ev - 1 - ell)
     )
     cubic = (

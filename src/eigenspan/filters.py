@@ -12,24 +12,27 @@ damping factors that make the underlying kernel nonnegative, and
 
 with alpha = arccos(a_t), beta = arccos(b_t).  Applying F_d(p_k) to a matrix
 uses only the three-term recurrence, d matrix applications per start vector.
+The integrand is a trigonometric polynomial of degree d + k, so composite
+Gauss-Legendre on panels short against its top frequency computes the
+coefficients to roundoff.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
-from .errors import CoefficientQuadratureError, RecurrenceDivergenceError
-
-#: Absolute tolerance requested from the adaptive coefficient quadrature.
-COEFF_ABSTOL = 1e-13
-#: An estimate is rejected if its reported error exceeds this.
-COEFF_MAX_ABSERR = 1e-10
+from .errors import RecurrenceDivergenceError
 
 BASES = ("chebyshev", "scaled", "monomial")
+
+#: Gauss-Legendre nodes per panel of the coefficient quadrature.
+PANEL_NODES = 32
+#: Largest span, in radians of the integrand's top frequency, of one panel.
+PANEL_RADIANS = 24.0
+#: Quadrature nodes per pass; keeps each complex temporary near 256 KB at
+#: degree 10^4.
+NODE_CHUNK = 128
 
 
 def jackson_factors(d):
@@ -48,59 +51,62 @@ def jackson_factors(d):
     return rho
 
 
-def _basis_scalar(basis, k, t, a_t, b_t):
-    """Evaluate the k-th basis polynomial at scalar t (mapped units)."""
+def gauss_legendre_panels(lo, hi, panels, order):
+    """Composite Gauss-Legendre rule on [lo, hi] with equal panels.
+
+    Returns
+    -------
+    (nodes, weights) : ndarrays of length panels * order
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(lo, hi, panels + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    return (mids[:, None] + half * x).ravel(), np.tile(half * w, panels)
+
+
+def _basis_values(basis, ks, t, a_t, b_t):
+    """Basis polynomials p_k(t), one row per k in ``ks`` (mapped units)."""
+    ks = np.asarray(ks)[:, None]
     if basis == "monomial":
-        return t**k
+        return t**ks
     u = (2.0 * t - a_t - b_t) / (b_t - a_t)
     if basis == "scaled":
-        return u**k
-    if basis == "chebyshev":
-        # u can stray past [-1, 1] by roundoff at the interval ends.
-        return math.cos(k * math.acos(min(1.0, max(-1.0, u))))
-    raise ValueError(f"unknown basis {basis!r}")
+        return u**ks
+    # u can stray past [-1, 1] by roundoff at the interval ends.
+    return np.cos(ks * np.arccos(np.clip(u, -1.0, 1.0)))
 
 
-@lru_cache(maxsize=128)
-def _coefficient_row(a_t, b_t, alpha, beta, basis, k, d):
-    """Coefficients c_{k, 0..d} by adaptive Gauss-Kronrod quadrature.
+def _coefficient_rows(iv, basis, ks, d):
+    """Coefficients c_{k, 0..d} for every k in ``ks``, shape (len(ks), d + 1).
 
-    j = 0 uses plain adaptive quadrature; j >= 1 uses the oscillatory
-    cos(j theta)-weighted rule, which stays accurate up to j ~ 1e4.
-    The returned array is cached and marked read-only.
+    Composite Gauss-Legendre over theta in [beta, alpha], each panel at most
+    PANEL_RADIANS of the top frequency d + max(ks).  Writing j = W b + r
+    with W = isqrt(d) + 1, angle addition gives
+    cos(j theta) = Re(e^{i W b theta} e^{i r theta}), so each node chunk
+    needs two small exponential tables and one complex matrix product per
+    row for all d + 1 columns.
     """
+    if basis not in BASES:
+        raise ValueError(f"unknown basis {basis!r}, expected one of {BASES}")
+    if d < 0:
+        raise ValueError(f"degree must be >= 0, got {d}")
+    ks = np.asarray(ks)
+    top = d + int(ks.max())
+    panels = max(1, math.ceil((iv.alpha - iv.beta) * top / PANEL_RADIANS))
+    theta, w = gauss_legendre_panels(iv.beta, iv.alpha, panels, PANEL_NODES)
+    g = 2.0 / math.pi * w * _basis_values(basis, ks, np.cos(theta), iv.a_t, iv.b_t)
 
-    def p_of_cos(theta):
-        return _basis_scalar(basis, k, math.cos(theta), a_t, b_t)
-
-    coeffs = np.empty(d + 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        for j in range(d + 1):
-            try:
-                if j == 0:
-                    val, abserr = quad(
-                        p_of_cos, beta, alpha,
-                        epsabs=COEFF_ABSTOL, epsrel=COEFF_ABSTOL, limit=500,
-                    )
-                else:
-                    val, abserr = quad(
-                        p_of_cos, beta, alpha, weight="cos", wvar=j,
-                        epsabs=COEFF_ABSTOL, epsrel=COEFF_ABSTOL,
-                        limit=500, maxp1=200,
-                    )
-            except IntegrationWarning as exc:
-                raise CoefficientQuadratureError(
-                    f"coefficient quadrature failed for basis={basis}, k={k}, j={j}: {exc}"
-                ) from None
-            if not math.isfinite(val) or abserr > COEFF_MAX_ABSERR:
-                raise CoefficientQuadratureError(
-                    f"coefficient quadrature for basis={basis}, k={k}, j={j} "
-                    f"reported error {abserr:.2e}"
-                )
-            coeffs[j] = 2.0 / math.pi * val
-    coeffs.setflags(write=False)
-    return coeffs
+    width = math.isqrt(d) + 1
+    blocks = d // width + 1
+    out = np.zeros((ks.size, blocks, width))
+    for start in range(0, theta.size, NODE_CHUNK):
+        th = theta[start : start + NODE_CHUNK]
+        coarse = np.exp(1j * np.outer(width * np.arange(blocks), th))
+        fine = np.exp(1j * np.outer(th, np.arange(width)))
+        for row, g_row in zip(out, g[:, start : start + NODE_CHUNK]):
+            row += ((coarse * g_row) @ fine).real
+    return out.reshape(ks.size, -1)[:, : d + 1]
 
 
 def step_coefficients(iv, basis, k, d):
@@ -120,15 +126,11 @@ def step_coefficients(iv, basis, k, d):
 
     Returns
     -------
-    ndarray, shape (d + 1,), read-only (cached).
+    ndarray, shape (d + 1,)
     """
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}, expected one of {BASES}")
     if k < 0:
         raise ValueError(f"basis index must be >= 0, got {k}")
-    if d < 0:
-        raise ValueError(f"degree must be >= 0, got {d}")
-    return _coefficient_row(iv.a_t, iv.b_t, iv.alpha, iv.beta, basis, k, d)
+    return _coefficient_rows(iv, basis, [k], d)[0]
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,7 @@ def make_filter_spec(iv, d, m, basis="chebyshev"):
     if m < 1:
         raise ValueError(f"need at least one basis polynomial, got m = {m}")
     rho = jackson_factors(d)
-    coeffs = np.vstack([step_coefficients(iv, basis, k, d) for k in range(m)])
+    coeffs = _coefficient_rows(iv, basis, np.arange(m), d)
     return FilterSpec(interval=iv, d=d, m=m, basis=basis, rho=rho, coeffs=coeffs)
 
 

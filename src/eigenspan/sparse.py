@@ -39,13 +39,17 @@ class MVCounter:
 class SparseSymmetric:
     """Real symmetric sparse matrix stored as explicit (both-triangles) CSR.
 
+    The constructor arguments are handed to one scipy CSR matrix; the three
+    array attributes are then read-only views of its arrays, so the indices
+    are stored once, in scipy's index dtype (int32 whenever it fits).
+
     Attributes
     ----------
     n : int
         Dimension.
-    row_ptr : ndarray of int64, shape (n + 1,)
+    row_ptr : ndarray of int, shape (n + 1,)
         CSR row pointers.
-    col_idx : ndarray of int64
+    col_idx : ndarray of int
         CSR column indices, sorted within each row.
     values : ndarray of float64
         Stored entries, aligned with ``col_idx``.  Explicit zeros are kept.
@@ -58,11 +62,12 @@ class SparseSymmetric:
     _csr: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.row_ptr = np.asarray(self.row_ptr, dtype=np.int64)
-        self.col_idx = np.asarray(self.col_idx, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
         self._csr = sp.csr_matrix(
-            (self.values, self.col_idx, self.row_ptr), shape=(self.n, self.n)
+            (np.asarray(self.values, dtype=np.float64), self.col_idx, self.row_ptr),
+            shape=(self.n, self.n),
+        )
+        self.row_ptr, self.col_idx, self.values = (
+            _read_only(x) for x in (self._csr.indptr, self._csr.indices, self._csr.data)
         )
 
     @property
@@ -95,6 +100,12 @@ class SparseSymmetric:
 
     def diagonal(self):
         return self._csr.diagonal()
+
+
+def _read_only(x):
+    view = x.view()
+    view.flags.writeable = False
+    return view
 
 
 def matvec(a, x, counter=None):

@@ -200,17 +200,6 @@ def test_baseline_reports_shift_statistics(matrices, tmp_path):
     assert sum(s["mv_count"] for s in stats) < report["mv_exact"]
 
 
-def test_baseline_thread_count_from_environment(matrices, tmp_path, monkeypatch):
-    monkeypatch.setenv("EIGENSPAN_THREADS", "4")
-    rc, report = _run_json(
-        ["baseline", "--matrix-path", matrices["diag200"], "--a", "-0.0503",
-         "--b", "0.0503", "--seed", "3"],
-        tmp_path / "report.json",
-    )
-    assert rc == 0
-    assert report["config_echo"]["threads"] == 4
-
-
 # ---------------------------------------------------------------------------
 # bench
 

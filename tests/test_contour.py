@@ -284,17 +284,6 @@ def test_baseline_more_moments_cost_fewer_applications(diag_problem):
     assert wide.restarts <= narrow.restarts
 
 
-def test_baseline_threaded_run_is_deterministic(diag_problem, baseline_run):
-    p = diag_problem
-    threaded = run_baseline(
-        p["a"], p["tr"], p["iv"], 4, 4, p["v0"],
-        q=16, krylov_tol=1e-12, tol=1e-10, n_ev_target=10, threads=4,
-    )
-    assert np.array_equal(threaded.ritz.values, baseline_run.ritz.values)
-    assert threaded.mv_exact == baseline_run.mv_exact
-    assert threaded.restarts == baseline_run.restarts
-
-
 def test_baseline_validates_inputs(diag_problem):
     p = diag_problem
     with pytest.raises(ValueError):

@@ -1,63 +1,69 @@
-"""Dense kernels: thin QR, symmetric eigensolver, SVD-based diagnostics."""
+"""Dense kernels: SVD orthonormalization and rank, symmetric eigensolver."""
 
 import numpy as np
 import pytest
 
 from eigenspan import (
-    RankDeficientError,
     condition_number,
     dense_sym_eig,
     numerical_rank,
-    thin_qr,
 )
 from eigenspan.dense import orthonormal_range
+from eigenspan.engine import orthonormalize_block
 from helpers import random_symmetric
 
 
-def test_thin_qr_on_orthonormal_input_gives_identity_r(rng):
+def test_orthonormal_range_keeps_orthonormal_input_span(rng):
     q0, _ = np.linalg.qr(rng.standard_normal((30, 6)))
-    q, r = thin_qr(q0)
-    np.testing.assert_allclose(r, np.eye(6), atol=1e-12)
-    np.testing.assert_allclose(q @ r, q0, atol=1e-12)
+    u, rank = orthonormal_range(q0)
+    assert rank == 6
+    np.testing.assert_allclose(u @ u.T, q0 @ q0.T, atol=1e-12)
 
 
-def test_thin_qr_near_dependent_columns():
+def test_orthonormal_range_keeps_near_dependent_columns():
     s = np.zeros((3, 2))
     s[0, 0] = 1.0
     s[:, 1] = [1.0, 1e-3, 0.0]
-    q, r = thin_qr(s)
-    assert r[0, 0] == pytest.approx(1.0, rel=1e-12)
-    assert r[0, 1] == pytest.approx(1.0, rel=1e-12)
-    assert r[1, 1] == pytest.approx(1e-3, rel=1e-9)
+    u, rank = orthonormal_range(s)
+    assert rank == 2
+    assert np.linalg.norm(s - u @ (u.T @ s)) <= 1e-14
 
 
-def test_thin_qr_reconstruction_and_orthonormality(rng):
+def test_orthonormal_range_reconstruction_and_orthonormality(rng):
     s = rng.standard_normal((100, 8))
-    q, r = thin_qr(s)
-    assert np.linalg.norm(q @ r - s) <= 1e-13 * np.linalg.norm(s)
-    assert np.max(np.abs(q.T @ q - np.eye(8))) <= 1e-12
-    assert np.all(np.diag(r) >= 0)
-    assert np.allclose(r, np.triu(r))
+    u, rank = orthonormal_range(s)
+    assert rank == 8
+    assert np.linalg.norm(s - u @ (u.T @ s)) <= 1e-13 * np.linalg.norm(s)
+    assert np.max(np.abs(u.T @ u - np.eye(8))) <= 1e-12
 
 
-def test_thin_qr_rejects_wide_input():
-    with pytest.raises(ValueError):
-        thin_qr(np.ones((2, 3)))
+def test_orthonormal_range_wide_input_keeps_row_space_dimension(rng):
+    u, rank = orthonormal_range(rng.standard_normal((2, 3)))
+    assert rank == 2
+    assert np.max(np.abs(u.T @ u - np.eye(2))) <= 1e-12
 
 
-def test_thin_qr_duplicated_column_raises_with_rank(rng):
+def test_orthonormalize_block_duplicated_column_warns_with_rank(rng):
     s = rng.standard_normal((30, 5))
     s[:, 3] = s[:, 1]
-    with pytest.raises(RankDeficientError) as excinfo:
-        thin_qr(s)
-    assert excinfo.value.rank == 4
+    with pytest.warns(RuntimeWarning, match="rank 4 of 5"):
+        u, rank = orthonormalize_block(s)
+    assert rank == 4
+    assert u.shape == (30, 4)
 
 
-def test_thin_qr_zero_column_raises(rng):
+def test_orthonormalize_block_zero_column_warns(rng):
     s = rng.standard_normal((20, 4))
     s[:, 2] = 0.0
-    with pytest.raises(RankDeficientError):
-        thin_qr(s)
+    with pytest.warns(RuntimeWarning, match="rank 3 of 4"):
+        u, rank = orthonormalize_block(s)
+    assert rank == u.shape[1] == 3
+
+
+def test_orthonormalize_block_full_rank_reports_no_rank(rng):
+    u, rank = orthonormalize_block(rng.standard_normal((40, 6)))
+    assert rank is None
+    assert u.shape == (40, 6)
 
 
 def test_dense_sym_eig_diagonal_permutation():

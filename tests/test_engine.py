@@ -1,5 +1,7 @@
 """Rayleigh-Ritz projection, convergence test, and the restarted solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,35 @@ def test_rank_deficient_block_degrades_with_warning(rng):
     assert report.degraded_ranks
     assert all(rank < 16 for rank in report.degraded_ranks)
     assert report.converged
+
+
+def test_degraded_ranks_are_the_projected_basis_widths(monkeypatch):
+    # The low-degree m = 16 run of the shared fixture sheds rank over restarts.
+    # Each degraded_ranks entry must be the width of the basis that restart
+    # projected onto, recorded exactly when that width is below m * ell.
+    import eigenspan.engine as engine
+
+    widths = []
+    project = engine.rayleigh_ritz
+
+    def recording_projection(a, u, *args):
+        widths.append(u.shape[1])
+        return project(a, u, *args)
+
+    monkeypatch.setattr(engine, "rayleigh_ritz", recording_projection)
+    values = np.linspace(-1.0, 1.0, 2000)
+    tr = exact_transform(-1.0, 1.0)
+    iv = make_interval(tr, -0.05, 0.05)
+    spec = make_filter_spec(iv, d=211, m=16)
+    v0 = np.random.default_rng(7).standard_normal((2000, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = run_cjssrr(
+            diag_matrix(values), tr, iv, spec, v0, tol=1e-4, max_restarts=15,
+            n_ev_target=interval_count(values, -0.05, 0.05),
+        )
+    assert report.degraded_ranks
+    assert report.degraded_ranks == [w for w in widths if w < 16 * 10]
 
 
 def test_solver_requires_target_count(rng):

@@ -29,6 +29,7 @@ from helpers import diag_matrix, random_spectrum_matrix
 from eigenspan import SparseSymmetric
 
 INTERVAL = mapped_interval(-0.2, 0.4)
+NARROW_INTERVAL = mapped_interval(0.5, 0.52)
 IDENTITY_TRANSFORM = exact_transform(-1.0, 1.0)
 
 
@@ -90,7 +91,7 @@ def test_damping_factors_reject_negative_degree():
         jackson_factors(-1)
 
 
-@pytest.mark.parametrize("j", [0, 1, 2, 3, 10, 100, 1000])
+@pytest.mark.parametrize("j", [0, 1, 2, 3, 10, 100, 1000, 10_000])
 @pytest.mark.parametrize("basis", ["chebyshev", "scaled", "monomial"])
 def test_constant_coefficients_match_closed_form(basis, j):
     d = max(j, 4)
@@ -111,6 +112,15 @@ def test_interval_chebyshev_coefficients_match_trapezoid_oracle(j):
     row = step_coefficients(INTERVAL, "chebyshev", 1, 8)
     expected = trapezoid_coefficient(INTERVAL, "chebyshev", 1, j)
     assert row[j] == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("j", [0, 1, 57, 400])
+def test_scaled_top_row_matches_trapezoid_oracle_on_narrow_interval(j):
+    # All m = 16 rows come from one quadrature sized for the top frequency
+    # d + 15; row 15 carries the steepest basis polynomial u^15.
+    spec = make_filter_spec(NARROW_INTERVAL, d=400, m=16, basis="scaled")
+    expected = trapezoid_coefficient(NARROW_INTERVAL, "scaled", 15, j)
+    assert spec.coeffs[15, j] == pytest.approx(expected, abs=1e-12)
 
 
 def test_coefficient_validation():
