@@ -14,6 +14,7 @@ import math
 import sys
 import time
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 import jsonschema
@@ -181,26 +182,42 @@ def _resolve_problem(args):
     return a, tr, iv
 
 
-def _resolve_sizes(a, tr, iv, args, count_degree):
-    """Count estimate, block size, and target pair count.
+class _Prepared(NamedTuple):
+    """What every solve-type command shares before its method runs."""
 
-    ``n_ev_tilde`` carries a +1 head-room term meant for sizing the search
-    space, so the block size uses it as-is while the convergence target
-    uses the plain trace mean (``n_ev_tilde - 1``), the unbiased estimate
-    of the actual count.
+    a: object
+    tr: object
+    iv: object
+    est: object
+    n_ev_target: int
+    config: dict
+    v0: np.ndarray
+
+
+def _filter_degree(args, iv):
+    """Filter degree: --degree, or the width rule with --d and --k."""
+    if args.degree == "auto":
+        return select_degree(iv.width_t, args.m, d_factor=args.d, k_factor=args.k).d
+    return args.degree
+
+
+def _prepare(args, auto_count_degree):
+    """Problem, count estimate, shared config echo and start block V0.
+
+    ``auto_count_degree(iv)`` gives the count degree when --count-degree is
+    "auto".  ``n_ev_tilde`` carries a +1 head-room term meant for sizing the
+    search space, so the block size uses it as-is while the convergence
+    target uses the plain trace mean (``n_ev_tilde - 1``), the unbiased
+    estimate of the actual count.
     """
+    a, tr, iv = _resolve_problem(args)
+    count_degree = auto_count_degree(iv) if args.count_degree == "auto" else args.count_degree
     est = estimate_count(
         MappedOperator(a, tr), iv, d=count_degree, samples=args.samples, seed=args.seed
     )
     n_ev_target = max(1, int(round(est.n_ev_tilde - 1.0)))
     ell = recommended_block_size(est.n_ev_tilde, args.m) if args.ell == "auto" else args.ell
-    return est, n_ev_target, ell
-
-
-def _config_echo(args, ell, count_degree, n_ev_target, **method):
-    """Settings echoed into a solve or baseline report; ``method`` adds the
-    method-specific ones."""
-    return {
+    config = {
         "matrix_path": args.matrix_path,
         "a": args.a,
         "b": args.b,
@@ -214,8 +231,34 @@ def _config_echo(args, ell, count_degree, n_ev_target, **method):
         "count_degree": int(count_degree),
         "samples": args.samples,
         "n_ev_target": int(n_ev_target),
-        **method,
     }
+    v0 = np.random.default_rng(args.seed).standard_normal((a.n, ell))
+    return _Prepared(a, tr, iv, est, n_ev_target, config, v0)
+
+
+def _run_filter(args, p):
+    """The filtered moment solve: (report, config echo, seconds of the solve)."""
+    degree = _filter_degree(args, p.iv)
+    spec = make_filter_spec(p.iv, degree, args.m, basis=args.basis)
+    start = time.perf_counter()
+    rep = run_cjssrr(
+        p.a, p.tr, p.iv, spec, p.v0,
+        tol=args.tol, max_restarts=args.max_restarts, n_ev_target=p.n_ev_target,
+    )
+    config = dict(p.config, degree=int(degree), basis=args.basis)
+    return rep, config, time.perf_counter() - start
+
+
+def _run_contour(args, p):
+    """The contour baseline: (report, config echo, seconds of the solve)."""
+    start = time.perf_counter()
+    rep = run_baseline(
+        p.a, p.tr, p.iv, args.m, p.v0.shape[1], p.v0,
+        q=args.quad_nodes, krylov_tol=args.krylov_tol, tol=args.tol,
+        max_restarts=args.max_restarts, n_ev_target=p.n_ev_target,
+    )
+    config = dict(p.config, quad_nodes=args.quad_nodes, krylov_tol=args.krylov_tol)
+    return rep, config, time.perf_counter() - start
 
 
 def _count_estimate_json(est):
@@ -268,12 +311,7 @@ def _solve_report_json(rep, command, config_echo, tr, est, wall_time):
 
 def _emit_json(report, path):
     jsonschema.validate(report, _load_schema())
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _emit_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", path)
 
 
 def _emit_text(text, path):
@@ -288,26 +326,18 @@ def _emit_text(text, path):
 # Commands
 
 
-def cmd_solve(args):
+def _solve_one(args, command, run, auto_count_degree):
+    """Prepare, run one method, and emit its report; exit 2 if unconverged."""
     start = time.perf_counter()
-    a, tr, iv = _resolve_problem(args)
-    if args.degree == "auto":
-        degree = select_degree(iv.width_t, args.m, d_factor=args.d, k_factor=args.k).d
-    else:
-        degree = args.degree
-    count_degree = degree if args.count_degree == "auto" else args.count_degree
-    est, n_ev_target, ell = _resolve_sizes(a, tr, iv, args, count_degree)
-    spec = make_filter_spec(iv, degree, args.m, basis=args.basis)
-    v0 = np.random.default_rng(args.seed).standard_normal((a.n, ell))
-    rep = run_cjssrr(
-        a, tr, iv, spec, v0, tol=args.tol, max_restarts=args.max_restarts, n_ev_target=n_ev_target
-    )
-    config = _config_echo(
-        args, ell, count_degree, n_ev_target, degree=int(degree), basis=args.basis
-    )
-    report = _solve_report_json(rep, "solve", config, tr, est, time.perf_counter() - start)
+    p = _prepare(args, auto_count_degree)
+    rep, config, _ = run(args, p)
+    report = _solve_report_json(rep, command, config, p.tr, p.est, time.perf_counter() - start)
     _emit_json(report, args.report_path)
     return 0 if rep.converged else 2
+
+
+def cmd_solve(args):
+    return _solve_one(args, "solve", _run_filter, lambda iv: _filter_degree(args, iv))
 
 
 def cmd_count(args):
@@ -350,64 +380,24 @@ def cmd_probe(args):
 
 
 def cmd_baseline(args):
-    start = time.perf_counter()
-    a, tr, iv = _resolve_problem(args)
-    if args.count_degree == "auto":
-        # No polynomial filter runs here; count with the degree the filtered
-        # solver would pick for the same interval, for comparable estimates.
-        count_degree = select_degree(iv.width_t, args.m).d
-    else:
-        count_degree = args.count_degree
-    est, n_ev_target, ell = _resolve_sizes(a, tr, iv, args, count_degree)
-    v0 = np.random.default_rng(args.seed).standard_normal((a.n, ell))
-    rep = run_baseline(
-        a, tr, iv, args.m, ell, v0,
-        q=args.quad_nodes, krylov_tol=args.krylov_tol, tol=args.tol,
-        max_restarts=args.max_restarts, n_ev_target=n_ev_target,
+    # No polynomial filter runs here; count with the degree the filtered
+    # solver would pick for the same interval, for comparable estimates.
+    return _solve_one(
+        args, "baseline", _run_contour, lambda iv: select_degree(iv.width_t, args.m).d
     )
-    config = _config_echo(
-        args, ell, count_degree, n_ev_target,
-        quad_nodes=args.quad_nodes, krylov_tol=args.krylov_tol,
-    )
-    report = _solve_report_json(rep, "baseline", config, tr, est, time.perf_counter() - start)
-    _emit_json(report, args.report_path)
-    return 0 if rep.converged else 2
 
 
 def cmd_bench(args):
     start = time.perf_counter()
-    a, tr, iv = _resolve_problem(args)
-    if args.degree == "auto":
-        degree = select_degree(iv.width_t, args.m, d_factor=args.d, k_factor=args.k).d
-    else:
-        degree = args.degree
-    count_degree = degree if args.count_degree == "auto" else args.count_degree
-    est, n_ev_target, ell = _resolve_sizes(a, tr, iv, args, count_degree)
-    spec = make_filter_spec(iv, degree, args.m, basis=args.basis)
-    v0 = np.random.default_rng(args.seed).standard_normal((a.n, ell))
-
-    t_cj = time.perf_counter()
-    rep_cj = run_cjssrr(
-        a, tr, iv, spec, v0, tol=args.tol, max_restarts=args.max_restarts, n_ev_target=n_ev_target
-    )
-    cj_time = time.perf_counter() - t_cj
-    t_base = time.perf_counter()
-    rep_base = run_baseline(
-        a, tr, iv, args.m, ell, v0,
-        q=args.quad_nodes, krylov_tol=args.krylov_tol, tol=args.tol,
-        max_restarts=args.max_restarts, n_ev_target=n_ev_target,
-    )
-    base_time = time.perf_counter() - t_base
-
-    shared = _config_echo(args, ell, count_degree, n_ev_target)
-    cj_config = dict(shared, degree=int(degree), basis=args.basis)
-    base_config = dict(shared, quad_nodes=args.quad_nodes, krylov_tol=args.krylov_tol)
+    p = _prepare(args, lambda iv: _filter_degree(args, iv))
+    rep_cj, cj_config, cj_time = _run_filter(args, p)
+    rep_base, base_config, base_time = _run_contour(args, p)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "bench",
-        "config_echo": shared,
-        "cj": _solve_report_json(rep_cj, "solve", cj_config, tr, est, cj_time),
-        "baseline": _solve_report_json(rep_base, "baseline", base_config, tr, est, base_time),
+        "config_echo": p.config,
+        "cj": _solve_report_json(rep_cj, "solve", cj_config, p.tr, p.est, cj_time),
+        "baseline": _solve_report_json(rep_base, "baseline", base_config, p.tr, p.est, base_time),
         "speedup_mv": float(rep_base.mv_exact) / float(rep_cj.mv_exact),
         "wall_time_s": time.perf_counter() - start,
     }

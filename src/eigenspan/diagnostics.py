@@ -3,6 +3,8 @@
 Everything here is for inspection and testing: kernel moments, pointwise
 error bounds with their decay orders, the per-eigenvalue filter error bound,
 and the convergence-factor bound for the filtered subspace iteration.
+Series evaluation, quadrature and the basis polynomials come from
+``filters`` (``cosine_series``, ``panel_rule``, ``basis_values``).
 """
 
 import math
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundUndefinedError, HypothesisViolationError
-from .filters import gauss_legendre_panels, jackson_factors, step_coefficients
+from .filters import basis_values, cosine_series, jackson_factors, panel_rule, step_coefficients
 
 PI = math.pi
 
@@ -39,13 +41,8 @@ def kernel_value(d, phi):
         raise ValueError(f"kernel defined for d >= 2, got {d}")
     phi = np.asarray(phi, dtype=np.float64)
     rho = jackson_factors(d)
-    j = np.arange(1, d + 1, dtype=np.float64)
-    flat = np.atleast_1d(phi).ravel()
-    out = np.full(flat.shape, 0.5)
-    for start in range(0, flat.size, 1024):
-        sl = slice(start, min(start + 1024, flat.size))
-        out[sl] += np.cos(np.outer(flat[sl], j)) @ rho[1:]
-    out = out.reshape(np.shape(phi))
+    rho[0] = 1.0  # exact: the series starts at 1/2
+    out = cosine_series(phi, [rho]).reshape(phi.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -53,14 +50,13 @@ def kernel_moments(d, k):
     """Moment (1/pi) * integral_{-pi}^{pi} |phi|^k u_d(phi) dphi, k in {0,1,2,4}.
 
     Computed as (2/pi) * integral_0^pi phi^k u_d(phi) dphi (the kernel is
-    even) by composite Gauss-Legendre with enough panels to resolve the
-    degree-d oscillation to well below 1e-10.
+    even) by ``panel_rule`` at the kernel's top frequency d.
     """
     if d < 2:
         raise ValueError(f"kernel defined for d >= 2, got {d}")
     if k not in (0, 1, 2, 4):
         raise ValueError(f"moment power must be in {{0, 1, 2, 4}}, got {k}")
-    phi, w = gauss_legendre_panels(0.0, PI, max(16, d), 12)
+    phi, w = panel_rule(0.0, PI, d)
     vals = kernel_value(d, phi) * phi**k
     return float(2.0 / PI * (w @ vals))
 
@@ -119,24 +115,19 @@ def filter_probe(iv, p_degree, points, degrees):
     d_max = degrees[-1] if degrees else 2
     row = step_coefficients(iv, "chebyshev", p_degree, d_max)
     a, b = iv.a_t, iv.b_t
-    w = iv.width_t
-    p_sup, dp_sup, ddp_sup = _chebyshev_norms(p_degree, w)
+    p_sup, dp_sup, ddp_sup = _chebyshev_norms(p_degree, iv.width_t)
 
     theta = np.arccos(np.clip(points, -1.0, 1.0))
     # Basis values p(t) and the target p(t) h(t) at each point.
-    u = np.clip((2.0 * points - a - b) / w, -1.0, 1.0)
-    p_vals = np.cos(p_degree * np.arccos(u))
+    p_vals = basis_values("chebyshev", [p_degree], points, a, b)[0]
     h_vals = np.where((points > a) & (points < b), 1.0, 0.0)
     h_vals = np.where((points == a) | (points == b), 0.5, h_vals)
     target = p_vals * h_vals
+    approx = cosine_series(theta, [jackson_factors(d) * row[: d + 1] for d in degrees])
 
     out = []
-    for d in degrees:
-        rho = jackson_factors(d)
-        weighted = rho * row[: d + 1]
-        j = np.arange(1, d + 1, dtype=np.float64)
-        approx = 0.5 * weighted[0] + np.cos(np.outer(theta, j)) @ weighted[1:]
-        for t, th, fd, tgt in zip(points, theta, approx, target):
+    for d, approx_d in zip(degrees, approx.T):
+        for t, th, fd, tgt in zip(points, theta, approx_d, target):
             err = abs(fd - tgt)
             if t == a or t == b:
                 kind = "endpoint"

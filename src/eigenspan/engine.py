@@ -99,7 +99,8 @@ def mv_accounting(d, m, ell, n, nnz):
         projection, i.e. (d / m + 1) * m * ell.
         ``per_iter_equivalent``: the non-product dense work of the filter
         recurrence (axpy updates on the blocks) expressed in units of one
-        sparse product, (m + 1) * n / nnz * d * ell.
+        sparse product, (m + 1) * n / nnz * d * ell.  It models that dense
+        work alone and is not added to ``per_iter_exact``.
     """
     per_iter = d * ell + m * ell
     equivalent = (m + 1) * n / nnz * d * ell
@@ -111,9 +112,10 @@ class SolveReport:
     """Outcome of a restarted solve.
 
     ``ritz`` holds only the converged in-interval pairs (ascending).
-    ``mv_exact`` counts real matrix applications; ``mv_equivalent`` adds the
-    filter's dense block updates rescaled by n / nnz so runs with different
-    sparsity are comparable.
+    ``mv_exact`` counts real matrix applications.  ``mv_equivalent`` is the
+    modelled dense work of the filter recurrence alone, restarts * (m + 1) *
+    n / nnz * d * ell in units of one sparse product (0 for the baseline); it
+    is not added to ``mv_exact``.
     """
 
     ritz: RitzSet

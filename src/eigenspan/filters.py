@@ -14,7 +14,9 @@ with alpha = arccos(a_t), beta = arccos(b_t).  Applying F_d(p_k) to a matrix
 uses only the three-term recurrence, d matrix applications per start vector.
 The integrand is a trigonometric polynomial of degree d + k, so composite
 Gauss-Legendre on panels short against its top frequency computes the
-coefficients to roundoff.
+coefficients to roundoff.  This module holds the package's one quadrature
+rule (``panel_rule``), its one series evaluator (``cosine_series``) and its
+one basis evaluator (``basis_values``).
 """
 
 import math
@@ -26,13 +28,14 @@ from .errors import RecurrenceDivergenceError
 
 BASES = ("chebyshev", "scaled", "monomial")
 
-#: Gauss-Legendre nodes per panel of the coefficient quadrature.
+#: Gauss-Legendre nodes per panel of ``panel_rule``.
 PANEL_NODES = 32
 #: Largest span, in radians of the integrand's top frequency, of one panel.
 PANEL_RADIANS = 24.0
-#: Quadrature nodes per pass; keeps each complex temporary near 256 KB at
-#: degree 10^4.
-NODE_CHUNK = 128
+#: Angles per pass of the coefficient quadrature and of ``cosine_series``;
+#: at degree 10^4 this keeps each complex quadrature temporary near 256 KB
+#: and each cosine table near 10 MB.
+ANGLE_CHUNK = 128
 
 
 def jackson_factors(d):
@@ -51,21 +54,40 @@ def jackson_factors(d):
     return rho
 
 
-def gauss_legendre_panels(lo, hi, panels, order):
-    """Composite Gauss-Legendre rule on [lo, hi] with equal panels.
+def panel_rule(lo, hi, frequency):
+    """Nodes and weights of composite Gauss-Legendre on [lo, hi].
 
-    Returns
-    -------
-    (nodes, weights) : ndarrays of length panels * order
+    Equal PANEL_NODES-node panels, each at most PANEL_RADIANS of
+    ``frequency`` wide, integrate a trigonometric polynomial of that degree
+    (times a low-degree polynomial) to roundoff.
     """
-    x, w = np.polynomial.legendre.leggauss(order)
+    panels = max(1, math.ceil((hi - lo) * frequency / PANEL_RADIANS))
+    x, w = np.polynomial.legendre.leggauss(PANEL_NODES)
     edges = np.linspace(lo, hi, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     return (mids[:, None] + half * x).ravel(), np.tile(half * w, panels)
 
 
-def _basis_values(basis, ks, t, a_t, b_t):
+def cosine_series(theta, rows):
+    """w_0/2 + sum_{j>=1} w_j cos(j theta) for each weight row w, one column per row.
+
+    Rows may differ in length: each chunk of ANGLE_CHUNK angles builds one
+    cosine table for the longest row, and every row reads a prefix of it.
+    """
+    theta = np.asarray(theta, dtype=np.float64).ravel()
+    rows = [np.asarray(w, dtype=np.float64) for w in rows]
+    j = np.arange(1, max((w.size for w in rows), default=1), dtype=np.float64)
+    out = np.empty((theta.size, len(rows)))
+    for start in range(0, theta.size, ANGLE_CHUNK):
+        sl = slice(start, start + ANGLE_CHUNK)
+        table = np.cos(np.outer(theta[sl], j))
+        for col, w in enumerate(rows):
+            out[sl, col] = 0.5 * w[0] + table[:, : w.size - 1] @ w[1:]
+    return out
+
+
+def basis_values(basis, ks, t, a_t, b_t):
     """Basis polynomials p_k(t), one row per k in ``ks`` (mapped units)."""
     ks = np.asarray(ks)[:, None]
     if basis == "monomial":
@@ -92,19 +114,17 @@ def _coefficient_rows(iv, basis, ks, d):
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
     ks = np.asarray(ks)
-    top = d + int(ks.max())
-    panels = max(1, math.ceil((iv.alpha - iv.beta) * top / PANEL_RADIANS))
-    theta, w = gauss_legendre_panels(iv.beta, iv.alpha, panels, PANEL_NODES)
-    g = 2.0 / math.pi * w * _basis_values(basis, ks, np.cos(theta), iv.a_t, iv.b_t)
+    theta, w = panel_rule(iv.beta, iv.alpha, d + int(ks.max()))
+    g = 2.0 / math.pi * w * basis_values(basis, ks, np.cos(theta), iv.a_t, iv.b_t)
 
     width = math.isqrt(d) + 1
     blocks = d // width + 1
     out = np.zeros((ks.size, blocks, width))
-    for start in range(0, theta.size, NODE_CHUNK):
-        th = theta[start : start + NODE_CHUNK]
+    for start in range(0, theta.size, ANGLE_CHUNK):
+        th = theta[start : start + ANGLE_CHUNK]
         coarse = np.exp(1j * np.outer(width * np.arange(blocks), th))
         fine = np.exp(1j * np.outer(th, np.arange(width)))
-        for row, g_row in zip(out, g[:, start : start + NODE_CHUNK]):
+        for row, g_row in zip(out, g[:, start : start + ANGLE_CHUNK]):
             row += ((coarse * g_row) @ fine).real
     return out.reshape(ks.size, -1)[:, : d + 1]
 
@@ -178,13 +198,7 @@ def filter_scalar(spec, k, t):
     if np.any(np.abs(t) > 1.0 + 1e-12):
         raise ValueError("filter evaluation points must lie in [-1, 1]")
     theta = np.arccos(np.clip(t, -1.0, 1.0))
-    weighted = spec.rho * spec.coeffs[k]  # rho_j * c_{k, j}
-    out = np.full(t.shape, 0.5 * weighted[0])
-    # Chunk the Fourier sum to keep the (degrees x points) matrix small.
-    j = np.arange(1, spec.d + 1, dtype=np.float64)
-    for start in range(0, t.size, 512):
-        sl = slice(start, min(start + 512, t.size))
-        out[sl] += np.cos(np.outer(theta[sl], j)) @ weighted[1:]
+    out = cosine_series(theta, [spec.rho * spec.coeffs[k]])[:, 0]
     return out if out.size > 1 else float(out[0])
 
 

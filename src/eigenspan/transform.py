@@ -8,8 +8,8 @@ spectrum lands in [-1, 1] and Chebyshev recurrences are stable.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
+from .dense import dense_sym_eig
 from .errors import IntervalError
 from .sparse import matvec
 
@@ -96,9 +96,8 @@ class MappedOperator:
     def __init__(self, a, tr):
         self.a = a
         self.transform = tr
-        lo, hi = tr.lambda_min_est, tr.lambda_max_est
-        self._scale = 2.0 / (hi - lo)
-        self._shift = (hi + lo) / (hi - lo)
+        self._scale = tr.scale
+        self._shift = -tr.shift
 
     @property
     def n(self):
@@ -164,11 +163,8 @@ def lanczos_extremes(a, steps=50, seed=0):
             betas[j] = beta
             q = w / beta
 
-    if k == 1:
-        theta = alphas[:1].copy()
-        resid = np.array([beta_last])
-        return theta, resid, breakdown
-    theta, u = eigh_tridiagonal(alphas[:k], betas[: k - 1])
+    off = betas[: k - 1]
+    theta, u = dense_sym_eig(np.diag(alphas[:k]) + np.diag(off, 1) + np.diag(off, -1))
     resid = np.abs(beta_last * u[-1, :])
     return theta, resid, breakdown
 

@@ -6,6 +6,7 @@ every asserted report value is reproducible byte for byte.
 
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import eigenspan
 from eigenspan.cli import main
 from eigenspan import fit_slope
 
@@ -23,6 +25,8 @@ from helpers import laplacian_1d, laplacian_eigs
 
 
 DIAG_EV = np.linspace(-1.0, 1.0, 200)
+# Child interpreters import the same package tree as this process.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eigenspan.__file__)))
 
 
 def _schema():
@@ -298,10 +302,26 @@ def test_conditioning_grid_csv(matrices, tmp_path):
 # packaging
 
 
+def test_import_loads_no_dense_scipy_subpackages():
+    # Lanczos eigenvalues go through numpy's eigh and the coefficients through
+    # the package's own quadrature, so scipy.linalg and scipy.integrate stay
+    # unloaded.
+    code = (
+        "import sys, eigenspan, eigenspan.cli\n"
+        "print(' '.join(m for m in sys.modules "
+        "if m.startswith(('scipy.linalg', 'scipy.integrate'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_module_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "eigenspan.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     for verb in ("solve", "count", "probe", "baseline", "bench", "conditioning"):

@@ -110,7 +110,7 @@ def test_kernel_moments_match_closed_forms():
     # Integrating |phi|^k against the cosine series term by term gives
     # closed forms; the quadrature must reproduce them to near machine
     # precision.
-    for d in (2, 5, 10, 50, 200):
+    for d in (2, 5, 10, 50, 200, 1000):
         rho = jackson_factors(d)[1:]
         j = np.arange(1, d + 1, dtype=np.float64)
         sgn = (-1.0) ** j

@@ -24,7 +24,7 @@ from eigenspan import (
     mapped_interval,
     step_coefficients,
 )
-from eigenspan.filters import FilterSpec
+from eigenspan.filters import ANGLE_CHUNK, FilterSpec, cosine_series
 from helpers import diag_matrix, random_spectrum_matrix
 from eigenspan import SparseSymmetric
 
@@ -167,6 +167,19 @@ def test_filter_scalar_matches_chebyshev_series_evaluation(rng):
         expected = np.polynomial.chebyshev.chebval(t, series)
         got = filter_scalar(spec, k, t)
         assert np.max(np.abs(got - expected)) <= 1e-13
+
+
+def test_cosine_series_matches_direct_sum_per_row(rng):
+    # Rows of three lengths share one table per chunk; each must equal the
+    # direct per-row sum exactly.  Enough angles for several chunks.
+    theta = rng.uniform(0.0, math.pi, size=2 * ANGLE_CHUNK + 37)
+    rows = [rng.standard_normal(size) for size in (1, 40, 301)]
+    got = cosine_series(theta, rows)
+    assert got.shape == (theta.size, len(rows))
+    for col, w in enumerate(rows):
+        j = np.arange(1, w.size, dtype=np.float64)
+        expected = 0.5 * w[0] + np.cos(np.outer(theta, j)) @ w[1:]
+        assert np.array_equal(got[:, col], expected)
 
 
 def test_outside_point_is_suppressed_within_cubic_bound():
