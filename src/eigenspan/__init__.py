@@ -63,7 +63,6 @@ from .estimators import (
 )
 from .filters import (
     FilterSpec,
-    MomentBlock,
     build_moment_block,
     filter_scalar,
     jackson_factors,

@@ -88,7 +88,7 @@ def _add_estimator_args(p, count_default="auto"):
         type=_auto_or_int,
         default=count_default,
         help=f"indicator degree of the count estimator (default {count_default}; "
-        '"auto" reuses the solver degree)',
+        '"auto" reuses the filter degree, 2000 for count)',
     )
     p.add_argument("--samples", type=int, default=30, help="probe vectors for the count estimator")
 
@@ -127,6 +127,7 @@ def build_parser():
     _add_matrix_args(p)
     _add_estimator_args(p, count_default=2000)
     p.add_argument("--report-path", default="-")
+    p.set_defaults(degree=2000)  # what --count-degree auto means here
 
     p = sub.add_parser("probe", help="pointwise filter errors and bounds as CSV")
     p.add_argument("--a", type=float, required=True, help="interval lower end (normalized units)")
@@ -143,6 +144,10 @@ def build_parser():
     _add_estimator_args(p)
     _add_solver_args(p)
     _add_baseline_args(p)
+    # No polynomial filter runs here; --count-degree auto takes the degree
+    # the filtered solver would pick at the default D and K, for comparable
+    # estimates.
+    p.set_defaults(degree="auto", d=1.0, k=10.0)
 
     p = sub.add_parser("bench", help="both methods on one V0, with the MV speedup")
     _add_matrix_args(p)
@@ -201,37 +206,39 @@ def _filter_degree(args, iv):
     return args.degree
 
 
-def _prepare(args, auto_count_degree):
-    """Problem, count estimate, shared config echo and start block V0.
+#: Options every count and solve report echoes as given.
+_COUNT_ECHO = ("matrix_path", "a", "b", "samples", "seed", "spectral_bounds", "lanczos_steps")
 
-    ``auto_count_degree(iv)`` gives the count degree when --count-degree is
-    "auto".  ``n_ev_tilde`` carries a +1 head-room term meant for sizing the
-    search space, so the block size uses it as-is while the convergence
-    target uses the plain trace mean (``n_ev_tilde - 1``), the unbiased
-    estimate of the actual count.
+
+def _count(args):
+    """Problem, count estimate and count config echo: the step every counting verb shares.
+
+    --count-degree "auto" means the filter degree of the verb's parser
+    (``count`` and ``baseline`` fix theirs with ``set_defaults``).
     """
     a, tr, iv = _resolve_problem(args)
-    count_degree = auto_count_degree(iv) if args.count_degree == "auto" else args.count_degree
-    est = estimate_count(
-        MappedOperator(a, tr), iv, d=count_degree, samples=args.samples, seed=args.seed
-    )
+    degree = _filter_degree(args, iv) if args.count_degree == "auto" else args.count_degree
+    est = estimate_count(MappedOperator(a, tr), iv, d=degree, samples=args.samples, seed=args.seed)
+    config = {key: getattr(args, key) for key in _COUNT_ECHO}
+    config["count_degree"] = int(degree)
+    return a, tr, iv, est, config
+
+
+def _prepare(args):
+    """The count step plus block size, solver config echo and start block V0.
+
+    ``n_ev_tilde`` carries a +1 head-room term meant for sizing the search
+    space, so the block size uses it as-is while the convergence target
+    uses the plain trace mean (``n_ev_tilde - 1``), the unbiased estimate of
+    the actual count.
+    """
+    a, tr, iv, est, config = _count(args)
     n_ev_target = max(1, int(round(est.n_ev_tilde - 1.0)))
     ell = recommended_block_size(est.n_ev_tilde, args.m) if args.ell == "auto" else args.ell
-    config = {
-        "matrix_path": args.matrix_path,
-        "a": args.a,
-        "b": args.b,
-        "m": args.m,
-        "ell": int(ell),
-        "tol": args.tol,
-        "max_restarts": args.max_restarts,
-        "seed": args.seed,
-        "spectral_bounds": args.spectral_bounds,
-        "lanczos_steps": args.lanczos_steps,
-        "count_degree": int(count_degree),
-        "samples": args.samples,
-        "n_ev_target": int(n_ev_target),
-    }
+    config.update(
+        m=args.m, ell=int(ell), tol=args.tol, max_restarts=args.max_restarts,
+        n_ev_target=int(n_ev_target),
+    )
     v0 = np.random.default_rng(args.seed).standard_normal((a.n, ell))
     return _Prepared(a, tr, iv, est, n_ev_target, config, v0)
 
@@ -326,37 +333,19 @@ def _emit_text(text, path):
 # Commands
 
 
-def _solve_one(args, command, run, auto_count_degree):
+def _solve_one(args, command, run):
     """Prepare, run one method, and emit its report; exit 2 if unconverged."""
     start = time.perf_counter()
-    p = _prepare(args, auto_count_degree)
+    p = _prepare(args)
     rep, config, _ = run(args, p)
     report = _solve_report_json(rep, command, config, p.tr, p.est, time.perf_counter() - start)
     _emit_json(report, args.report_path)
     return 0 if rep.converged else 2
 
 
-def cmd_solve(args):
-    return _solve_one(args, "solve", _run_filter, lambda iv: _filter_degree(args, iv))
-
-
 def cmd_count(args):
     start = time.perf_counter()
-    a, tr, iv = _resolve_problem(args)
-    count_degree = 2000 if args.count_degree == "auto" else args.count_degree
-    est = estimate_count(
-        MappedOperator(a, tr), iv, d=count_degree, samples=args.samples, seed=args.seed
-    )
-    config = {
-        "matrix_path": args.matrix_path,
-        "a": args.a,
-        "b": args.b,
-        "count_degree": int(count_degree),
-        "samples": args.samples,
-        "seed": args.seed,
-        "spectral_bounds": args.spectral_bounds,
-        "lanczos_steps": args.lanczos_steps,
-    }
+    _, tr, _, est, config = _count(args)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "count",
@@ -379,17 +368,9 @@ def cmd_probe(args):
     return 0
 
 
-def cmd_baseline(args):
-    # No polynomial filter runs here; count with the degree the filtered
-    # solver would pick for the same interval, for comparable estimates.
-    return _solve_one(
-        args, "baseline", _run_contour, lambda iv: select_degree(iv.width_t, args.m).d
-    )
-
-
 def cmd_bench(args):
     start = time.perf_counter()
-    p = _prepare(args, lambda iv: _filter_degree(args, iv))
+    p = _prepare(args)
     rep_cj, cj_config, cj_time = _run_filter(args, p)
     rep_base, base_config, base_time = _run_contour(args, p)
     report = {
@@ -418,7 +399,7 @@ def cmd_conditioning(args):
             else:
                 degree = args.degree
             spec = make_filter_spec(iv, degree, m, basis=basis)
-            block = build_moment_block(a_t, v0, spec).s
+            block = build_moment_block(a_t, v0, spec)
             kappa = condition_number(block)
             rank = numerical_rank(block)
             lines.append(f"{basis},{m},{args.ell},{kappa:.17g},{rank}")
@@ -427,10 +408,10 @@ def cmd_conditioning(args):
 
 
 COMMANDS = {
-    "solve": cmd_solve,
+    "solve": lambda args: _solve_one(args, "solve", _run_filter),
     "count": cmd_count,
     "probe": cmd_probe,
-    "baseline": cmd_baseline,
+    "baseline": lambda args: _solve_one(args, "baseline", _run_contour),
     "bench": cmd_bench,
     "conditioning": cmd_conditioning,
 }
@@ -441,10 +422,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except EigenspanError as exc:
-        print(f"eigenspan {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (EigenspanError, OSError, ValueError) as exc:
         print(f"eigenspan {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -141,8 +141,6 @@ def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000, counter=None):
                 break
             ar = op(r)
             rar_next = r @ ar
-            if rar == 0.0:
-                break
             beta = rar_next / rar
             rar = rar_next
             p = r + beta * p

@@ -195,16 +195,16 @@ def restart_loop(
     """
     if n_ev_target is None:
         raise ValueError("n_ev_target is required")
-    counter = MVCounter()
-    norm_a = tr.operator_norm
+    if max_restarts < 1:
+        raise ValueError(f"need max_restarts >= 1, got {max_restarts}")
     v = np.asarray(v0, dtype=np.float64)
     ell = v.shape[1]
+    if ell < 1:
+        raise ValueError("the start block has no columns")
+    counter = MVCounter()
+    norm_a = tr.operator_norm
     degraded = []
     history = []
-
-    rs = None
-    restarts = 0
-    converged = False
     for restarts in range(1, max_restarts + 1):
         s = build_block(v, restarts, counter)
         u, lost_rank = orthonormalize_block(s, f" at restart {restarts}")
@@ -280,6 +280,7 @@ def run_cjssrr(
     tol : float
         Relative-residual target, ||A x - theta x|| / ||A|| < tol.
     max_restarts : int
+        At least 1.
     n_ev_target : int
         Number of in-interval eigenpairs that must converge.  Required:
         the caller knows it from a count estimate or from problem data.
@@ -300,7 +301,7 @@ def run_cjssrr(
     ell = np.shape(v0)[1]
     return restart_loop(
         a, tr, iv, v0,
-        lambda v, restart, counter: build_moment_block(a_t, v, spec, counter).s,
+        lambda v, restart, counter: build_moment_block(a_t, v, spec, counter),
         tol=tol,
         max_restarts=max_restarts,
         n_ev_target=n_ev_target,

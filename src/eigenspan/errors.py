@@ -18,7 +18,7 @@ class NotSymmetricError(EigenspanError, ValueError):
 
 
 class IntervalError(EigenspanError, ValueError):
-    """Requested target interval is empty or escapes the estimated spectrum."""
+    """Target interval is empty, escapes the spectral range, or collapses when mapped."""
 
 
 class RecurrenceDivergenceError(EigenspanError, FloatingPointError):

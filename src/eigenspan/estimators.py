@@ -186,8 +186,7 @@ def estimate_count(a_t, iv, d=2000, samples=30, seed=0):
     n = a_t.n
     v = rng.integers(0, 2, size=(n, samples)).astype(np.float64) * 2.0 - 1.0
     spec = make_filter_spec(iv, d=d, m=1, basis="chebyshev")
-    block = build_moment_block(a_t, v, spec)
-    per_sample = np.einsum("ij,ij->j", v, block.s)
+    per_sample = np.einsum("ij,ij->j", v, build_moment_block(a_t, v, spec))
     return CountEstimate(
         n_ev_tilde=float(per_sample.mean() + 1.0),
         samples=int(samples),

@@ -155,11 +155,13 @@ def step_coefficients(iv, basis, k, d):
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Fully assembled filter: damping factors and per-basis coefficients.
+    """Damping factors and per-basis coefficients of one filter.
+
+    The interval enters only through the coefficients, so the spec does not
+    keep it.
 
     Attributes
     ----------
-    interval : TargetInterval
     d : int
         Expansion degree.
     m : int
@@ -170,7 +172,6 @@ class FilterSpec:
         Row k holds c_{k, 0..d}.
     """
 
-    interval: "TargetInterval"  # noqa: F821 - forward ref for docs only
     d: int
     m: int
     basis: str
@@ -184,7 +185,7 @@ def make_filter_spec(iv, d, m, basis="chebyshev"):
         raise ValueError(f"need at least one basis polynomial, got m = {m}")
     rho = jackson_factors(d)
     coeffs = _coefficient_rows(iv, basis, np.arange(m), d)
-    return FilterSpec(interval=iv, d=d, m=m, basis=basis, rho=rho, coeffs=coeffs)
+    return FilterSpec(d=d, m=m, basis=basis, rho=rho, coeffs=coeffs)
 
 
 def filter_scalar(spec, k, t):
@@ -200,14 +201,6 @@ def filter_scalar(spec, k, t):
     theta = np.arccos(np.clip(t, -1.0, 1.0))
     out = cosine_series(theta, [spec.rho * spec.coeffs[k]])[:, 0]
     return out if out.size > 1 else float(out[0])
-
-
-@dataclass(frozen=True)
-class MomentBlock:
-    """Stacked filtered blocks S = [S_0 | ... | S_{m-1}] and the MV bill."""
-
-    s: np.ndarray
-    mv_count: int
 
 
 def build_moment_block(a_t, v, spec, counter=None):
@@ -226,8 +219,10 @@ def build_moment_block(a_t, v, spec, counter=None):
 
     Returns
     -------
-    MomentBlock
-        ``s`` has shape (n, m * ell); columns k*ell .. (k+1)*ell - 1 hold S_k.
+    ndarray, shape (n, m * ell)
+        The stacked block S = [S_0 | ... | S_{m-1}]; columns
+        k*ell .. (k+1)*ell - 1 hold S_k.  ``counter`` is charged the
+        d * ell applications.
 
     Raises
     ------
@@ -262,4 +257,4 @@ def build_moment_block(a_t, v, spec, counter=None):
                 )
             for k in range(m):
                 blocks[k] += weighted[k, j] * v_curr
-    return MomentBlock(s=s, mv_count=d * ell)
+    return s

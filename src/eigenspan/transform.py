@@ -1,8 +1,11 @@
 """Spectral range estimation and the affine map onto [-1, 1].
 
-The solver works on the transformed operator l(A) with
-l(t) = (2t - lmax - lmin) / (lmax - lmin), so the whole (estimated)
-spectrum lands in [-1, 1] and Chebyshev recurrences are stable.
+The solver works on the transformed operator l(A), where the one affine
+map l(t) = scale * t + shift, with scale = 2 / (lmax - lmin) and
+shift = -(lmax + lmin) / (lmax - lmin), sends the whole (estimated) spectrum
+onto [-1, 1] so Chebyshev recurrences are stable.  ``SpectralTransform``
+holds the map, and ``make_interval`` is the one builder of the target
+interval in mapped units.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ from .sparse import matvec
 
 @dataclass(frozen=True)
 class SpectralTransform:
-    """Affine spectrum map t -> (2t - lmax - lmin) / (lmax - lmin).
+    """Affine spectrum map l(t) = scale * t + shift onto [-1, 1].
 
     Attributes
     ----------
@@ -33,13 +36,11 @@ class SpectralTransform:
 
     def map(self, t):
         """Original units -> mapped units."""
-        lo, hi = self.lambda_min_est, self.lambda_max_est
-        return (2.0 * np.asarray(t) - hi - lo) / (hi - lo)
+        return self.scale * np.asarray(t) + self.shift
 
     def unmap(self, t):
         """Mapped units -> original units."""
-        lo, hi = self.lambda_min_est, self.lambda_max_est
-        return (np.asarray(t) * (hi - lo) + hi + lo) / 2.0
+        return (np.asarray(t) - self.shift) / self.scale
 
     @property
     def scale(self):
@@ -202,20 +203,25 @@ def exact_transform(lambda_min, lambda_max):
 def make_interval(tr, a, b):
     """Build the TargetInterval for [a, b] (original units) under ``tr``.
 
+    This is the only constructor of TargetInterval; the mapped endpoints are
+    clipped to [-1, 1] so roundoff at the range ends cannot leave arccos.
+
     Raises
     ------
     IntervalError
-        If a >= b or [a, b] is not inside [lambda_min_est, lambda_max_est].
+        If a >= b, if [a, b] is not inside [lambda_min_est, lambda_max_est],
+        or if the mapped endpoints collapse (a_t >= b_t).
     """
+    lo, hi = tr.lambda_min_est, tr.lambda_max_est
     if not a < b:
         raise IntervalError(f"empty interval: a = {a} must be < b = {b}")
-    if a < tr.lambda_min_est or b > tr.lambda_max_est:
+    if a < lo or b > hi:
+        raise IntervalError(f"interval [{a}, {b}] is not inside the spectral range [{lo}, {hi}]")
+    a_t, b_t = (float(x) for x in np.clip(tr.map([a, b]), -1.0, 1.0))
+    if not a_t < b_t:
         raise IntervalError(
-            f"interval [{a}, {b}] escapes the estimated spectral range "
-            f"[{tr.lambda_min_est}, {tr.lambda_max_est}]"
+            f"interval [{a}, {b}] collapses to [{a_t}, {b_t}] on the spectral range [{lo}, {hi}]"
         )
-    a_t = float(tr.map(a))
-    b_t = float(tr.map(b))
     # arccos is decreasing: alpha (angle of a_t) is the larger angle.
     return TargetInterval(
         a=float(a),
@@ -230,16 +236,7 @@ def make_interval(tr, a, b):
 def mapped_interval(a_t, b_t):
     """TargetInterval for endpoints already given in mapped units.
 
-    Convenience for diagnostics that work directly on [-1, 1]; original and
-    mapped units coincide (identity transform).
+    Convenience for diagnostics that work directly on [-1, 1]: the interval
+    under the identity transform, where original and mapped units coincide.
     """
-    if not -1.0 <= a_t < b_t <= 1.0:
-        raise IntervalError(f"need -1 <= a_t < b_t <= 1, got [{a_t}, {b_t}]")
-    return TargetInterval(
-        a=float(a_t),
-        b=float(b_t),
-        a_t=float(a_t),
-        b_t=float(b_t),
-        alpha=float(np.arccos(a_t)),
-        beta=float(np.arccos(b_t)),
-    )
+    return make_interval(exact_transform(-1.0, 1.0), a_t, b_t)

@@ -129,7 +129,7 @@ def test_criterion_4_block_matches_dense_oracle():
     m, d = 8, 500
     spec = make_filter_spec(iv, d, m)
     v = rng.standard_normal((200, 3))
-    block = build_moment_block(MappedOperator(a, tr), v, spec).s
+    block = build_moment_block(MappedOperator(a, tr), v, spec)
 
     lam, x = np.linalg.eigh(dense)
     lam_t = tr.map(lam)
@@ -193,7 +193,7 @@ def test_criterion_6_moment_basis_conditioning():
 
     def grid(m, basis):
         degree = select_degree(iv.width_t, m).d
-        return build_moment_block(a_t, v0, make_filter_spec(iv, degree, m, basis=basis)).s
+        return build_moment_block(a_t, v0, make_filter_spec(iv, degree, m, basis=basis))
 
     kappa_cheb_8 = condition_number(grid(8, "chebyshev"))
     kappa_mono_8 = condition_number(grid(8, "monomial"))

@@ -130,6 +130,16 @@ def test_empty_interval_exits_1(matrices, capsys):
     assert "interval" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--samples", "--m", "--ell", "--max-restarts"])
+def test_nonpositive_sizes_exit_1_with_one_line(matrices, capsys, flag):
+    rc = main(["solve", "--matrix-path", matrices["diag200"], "--a", "-0.05", "--b", "0.05",
+               flag, "0"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("eigenspan solve: ")
+
+
 def test_unknown_command_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -153,6 +163,20 @@ def test_count_matches_known_count(matrices, tmp_path):
     # plain trace mean = n_ev_tilde - 1 should sit on the true count of 10
     assert abs(est["n_ev_tilde"] - 1.0 - 10.0) < 0.01
     assert len(est["per_sample"]) == 30
+
+
+def test_count_and_solve_share_the_count_step(matrices, tmp_path):
+    argv = ["--matrix-path", matrices["diag200"], "--a", "-0.0503", "--b", "0.0503",
+            "--count-degree", "300", "--samples", "30", "--seed", "1"]
+    _, count = _run_json(["count"] + argv, tmp_path / "count.json")
+    _, solve = _run_json(["solve"] + argv, tmp_path / "solve.json")
+    assert count["count_estimate"] == solve["count_estimate"]
+    assert set(count["config_echo"]) == {
+        "matrix_path", "a", "b", "count_degree", "samples", "seed",
+        "spectral_bounds", "lanczos_steps",
+    }
+    shared = {k: solve["config_echo"][k] for k in count["config_echo"]}
+    assert shared == count["config_echo"]
 
 
 # ---------------------------------------------------------------------------

@@ -482,7 +482,7 @@ def test_convergence_factor_bounds_subspace_angle(band_model):
     spec = make_filter_spec(ivt, d, 4, basis="chebyshev")
     rng = np.random.default_rng(7)
     v0 = rng.standard_normal((ev.size, 3))
-    s = build_moment_block(MappedOperator(a, tr), v0, spec).s
+    s = build_moment_block(MappedOperator(a, tr), v0, spec)
     q = np.linalg.qr(s, mode="reduced")[0]
 
     desc = sm.inside_descending

@@ -158,7 +158,7 @@ def test_rayleigh_ritz_after_one_filtered_pass(rng):
     truth = values[(values >= -0.1) & (values <= 0.1)]
     spec = make_filter_spec(iv, d=220, m=4)
     block = build_moment_block(MappedOperator(a, tr), rng.standard_normal((200, 8)), spec)
-    u, _ = orthonormalize_block(block.s)
+    u, _ = orthonormalize_block(block)
     rs = rayleigh_ritz(a, u, iv, tr.operator_norm)
     # The basis has more directions than there are eigenvalues in the band,
     # so a few ghost pairs (large residual) can land inside the interval.
@@ -314,6 +314,19 @@ def test_solver_requires_target_count(rng):
     spec = make_filter_spec(iv, d=20, m=2)
     with pytest.raises(ValueError):
         run_cjssrr(a, tr, iv, spec, rng.standard_normal((30, 4)))
+
+
+@pytest.mark.parametrize("cols, max_restarts", [(4, 0), (0, 5)])
+def test_solver_rejects_no_restarts_and_empty_start_block(rng, cols, max_restarts):
+    a = diag_matrix(np.linspace(-1.0, 1.0, 30))
+    tr = exact_transform(-1.0, 1.0)
+    iv = make_interval(tr, -0.2, 0.2)
+    spec = make_filter_spec(iv, d=20, m=2)
+    with pytest.raises(ValueError):
+        run_cjssrr(
+            a, tr, iv, spec, rng.standard_normal((30, cols)),
+            max_restarts=max_restarts, n_ev_target=5,
+        )
 
 
 def test_unreachable_tolerance_reports_best_effort(rng):

@@ -71,9 +71,9 @@ def test_map_sends_estimated_ends_to_unit_interval():
 
 
 def test_map_is_affine_with_published_scale_and_shift():
-    tr = exact_transform(0.5, 2.5)
-    t = np.linspace(0.0, 3.0, 7)
-    np.testing.assert_allclose(tr.map(t), tr.scale * t + tr.shift, atol=1e-15)
+    tr = exact_transform(-0.3, 2.9)
+    t = np.linspace(-0.8, 3.4, 7)
+    np.testing.assert_array_equal(tr.map(t), tr.scale * t + tr.shift)
 
 
 def test_map_is_strictly_increasing():
@@ -127,6 +127,32 @@ def test_mapped_interval_convenience():
     assert iv.b_t == 0.4
     with pytest.raises(IntervalError):
         mapped_interval(0.4, -0.2)
+    with pytest.raises(IntervalError):
+        mapped_interval(-1.5, 0.2)
+
+
+@pytest.mark.parametrize("a_t, b_t", [(-0.2, 0.4), (1e-20, 0.4)])
+def test_mapped_interval_is_make_interval_on_the_identity_range(a_t, b_t):
+    assert mapped_interval(a_t, b_t) == make_interval(exact_transform(-1.0, 1.0), a_t, b_t)
+
+
+def test_identity_map_is_exact():
+    tr = exact_transform(-1.0, 1.0)
+    assert (tr.scale, tr.shift) == (1.0, 0.0)
+    iv = make_interval(tr, -0.2, 0.4)
+    assert (iv.a_t, iv.b_t) == (-0.2, 0.4)
+
+
+def test_make_interval_over_the_whole_range_has_finite_angles():
+    # Unclipped, scale * 0.7 + shift rounds to 1 + 2^-52 and arccos gives nan.
+    iv = make_interval(exact_transform(0.1, 0.7), 0.1, 0.7)
+    assert (iv.b_t, iv.beta) == (1.0, 0.0)
+    assert np.isfinite(iv.alpha)
+
+
+def test_make_interval_rejects_endpoints_that_collapse_when_mapped():
+    with pytest.raises(IntervalError, match="collapses"):
+        make_interval(exact_transform(0.0, 3.0), 1.5, np.nextafter(1.5, 2.0))
 
 
 def test_interval_contains_is_closed():
