@@ -291,7 +291,6 @@ def _solve_report_json(rep, command, config_echo, tr, est, wall_time):
             for v, r in zip(rep.ritz.values, rep.ritz.residual_norms)
         ],
         "mv_exact": int(rep.mv_exact),
-        "mv_equivalent": float(rep.mv_equivalent),
         "converged": bool(rep.converged),
         "max_residual": _finite_or_none(rep.max_residual),
         "residual_history": [_finite_or_none(h) for h in rep.residual_history],

@@ -6,7 +6,8 @@ conjugate pairs and A, V are real, only the upper-half systems are solved
 and the conjugate contributions are folded in as 2 Re(...).  The restart /
 Rayleigh-Ritz driver (``engine.restart_loop``) is shared with the
 polynomial-filter solver, so the two methods differ only in how the moment
-blocks are built and billed.
+blocks are built; each shifted solve's ``mv_count`` is the one bill for its
+matrix applications.
 """
 
 import math
@@ -82,7 +83,7 @@ class ShiftedSolveStats:
     converged: bool
 
 
-def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000, counter=None):
+def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000):
     """Solve (z I - A) X = B column-wise for complex z with Im(z) != 0.
 
     Uses a conjugate-orthogonal short-recurrence iteration for the
@@ -112,7 +113,7 @@ def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000, counter=None):
     def op(v):
         nonlocal total_mv
         total_mv += 1
-        return z * v - matvec(a, v, counter)
+        return z * v - matvec(a, v)
 
     for col in range(b2.shape[1]):
         rhs = b2[:, col].astype(np.complex128)
@@ -180,8 +181,7 @@ def run_baseline(
     assembly S_k = sum_j 2 Re(w_j z_j^k X_j), then the shared
     orthonormalize / project / convergence-test / restart path.
     ``mv_exact`` counts every complex matrix application at face value plus
-    the projection's real ones; ``mv_equivalent`` is 0 (no dense filter
-    work to model).
+    the projection's real ones.
     """
     rule = trapezoid_rule(iv, q)
     n, ell_v = np.shape(v0)
@@ -210,6 +210,5 @@ def run_baseline(
         n_ev_target=n_ev_target,
         m=m,
         degree_used=0,
-        equivalent_per_restart=0.0,
         shift_stats=shift_log,
     )

@@ -42,9 +42,10 @@ def dense_sym_eig(b):
 
 
 def condition_number(s):
-    """2-norm condition number sigma_max / sigma_min; +inf if sigma_min == 0."""
+    """2-norm condition number sigma_max / sigma_min, or +inf exactly when
+    ``numerical_rank`` is below full (the ratio would then be roundoff)."""
     sv = np.linalg.svd(np.asarray(s, dtype=np.float64), compute_uv=False)
-    if sv.size == 0 or sv[-1] == 0.0:
+    if sv.size == 0 or _rank(sv) < sv.size:
         return np.inf
     return float(sv[0] / sv[-1])
 

@@ -7,7 +7,6 @@ driver; the damped-Chebyshev solver here and the contour baseline differ
 only in the block builder they hand it.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,8 +98,8 @@ def mv_accounting(d, m, ell, n, nnz):
         projection, i.e. (d / m + 1) * m * ell.
         ``per_iter_equivalent``: the non-product dense work of the filter
         recurrence (axpy updates on the blocks) expressed in units of one
-        sparse product, (m + 1) * n / nnz * d * ell.  It models that dense
-        work alone and is not added to ``per_iter_exact``.
+        sparse product, (m + 1) * n / nnz * d * ell.  Solves report neither;
+        they report the applications they counted, ``mv_exact``.
     """
     per_iter = d * ell + m * ell
     equivalent = (m + 1) * n / nnz * d * ell
@@ -112,10 +111,9 @@ class SolveReport:
     """Outcome of a restarted solve.
 
     ``ritz`` holds only the converged in-interval pairs (ascending).
-    ``mv_exact`` counts real matrix applications.  ``mv_equivalent`` is the
-    modelled dense work of the filter recurrence alone, restarts * (m + 1) *
-    n / nnz * d * ell in units of one sparse product (0 for the baseline); it
-    is not added to ``mv_exact``.
+    ``mv_exact`` counts the matrix applications the solve made.
+    ``degraded_ranks`` holds the basis rank of each restart whose stacked
+    block lost numerical rank; it is the only record of rank loss.
     """
 
     ritz: RitzSet
@@ -123,7 +121,6 @@ class SolveReport:
     restarts: int
     max_residual: float
     mv_exact: int
-    mv_equivalent: float
     degree_used: int
     m: int
     ell: int
@@ -133,22 +130,15 @@ class SolveReport:
     shift_stats: list = field(default_factory=list)
 
 
-def orthonormalize_block(s, context=""):
+def orthonormalize_block(s):
     """Orthonormal basis of a stacked block's numerical range (SVD).
 
     Returns (u, None) when the block has full numerical rank, or (u, rank)
-    with a warning when dependent directions were dropped; ``rank`` is the
-    column count of ``u``, the dimension the solve continues on.
+    when dependent directions were dropped; ``rank`` is the column count of
+    ``u``, the dimension the solve continues on.
     """
     u, rank = orthonormal_range(s)
-    if rank == s.shape[1]:
-        return u, None
-    warnings.warn(
-        f"stacked block lost rank{context}: rank {rank} of {s.shape[1]}",
-        RuntimeWarning,
-        stacklevel=4,
-    )
-    return u, rank
+    return u, (None if rank == s.shape[1] else rank)
 
 
 def restart_loop(
@@ -163,7 +153,6 @@ def restart_loop(
     n_ev_target,
     m,
     degree_used,
-    equivalent_per_restart,
     shift_stats=(),
 ):
     """Restart / Rayleigh-Ritz driver shared by both solvers.
@@ -185,8 +174,6 @@ def restart_loop(
         As in ``run_cjssrr``.
     m, degree_used, shift_stats
         Copied into the report.
-    equivalent_per_restart : float
-        ``mv_equivalent`` charged per restart.
 
     Returns
     -------
@@ -207,7 +194,7 @@ def restart_loop(
     history = []
     for restarts in range(1, max_restarts + 1):
         s = build_block(v, restarts, counter)
-        u, lost_rank = orthonormalize_block(s, f" at restart {restarts}")
+        u, lost_rank = orthonormalize_block(s)
         if lost_rank is not None:
             degraded.append(lost_rank)
         rs = rayleigh_ritz(a, u, iv, norm_a, counter)
@@ -245,7 +232,6 @@ def restart_loop(
         restarts=restarts,
         max_residual=float(kept_res.max()) if kept_res.size else float("nan"),
         mv_exact=counter.count,
-        mv_equivalent=restarts * equivalent_per_restart,
         degree_used=int(degree_used),
         m=int(m),
         ell=ell,
@@ -294,11 +280,10 @@ def run_cjssrr(
     Notes
     -----
     If the stacked filtered block loses numerical rank, the solve continues
-    on the detected-rank subspace (a warning is emitted and the rank is
-    recorded in ``degraded_ranks``).
+    on the detected-rank subspace and records that rank in
+    ``degraded_ranks``; nothing is printed.
     """
     a_t = MappedOperator(a, tr)
-    ell = np.shape(v0)[1]
     return restart_loop(
         a, tr, iv, v0,
         lambda v, restart, counter: build_moment_block(a_t, v, spec, counter),
@@ -307,5 +292,4 @@ def run_cjssrr(
         n_ev_target=n_ev_target,
         m=spec.m,
         degree_used=spec.d,
-        equivalent_per_restart=mv_accounting(spec.d, spec.m, ell, a.n, a.nnz)[1],
     )

@@ -13,12 +13,22 @@ import sys
 MASKED = {"wall_time_s"}
 
 
+class _Missing:
+    """Stands for a key that one report lacks, so it never equals ``null``."""
+
+    def __repr__(self):
+        return "<missing>"
+
+
+MISSING = _Missing()
+
+
 def diff(old, new, path="$"):
     """Yield (path, old, new) for every leaf where the two trees differ."""
     if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(set(old) | set(new)):
             if key not in MASKED:
-                yield from diff(old.get(key), new.get(key), f"{path}.{key}")
+                yield from diff(old.get(key, MISSING), new.get(key, MISSING), f"{path}.{key}")
     elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         for i, (o, n) in enumerate(zip(old, new)):
             yield from diff(o, n, f"{path}[{i}]")

@@ -1,7 +1,5 @@
 """Tests for the contour-integral moment baseline."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -259,7 +257,6 @@ def test_baseline_reports_per_shift_stats(baseline_run):
         assert entry["stats"].final_relres <= 1e-12
     solve_mvs = sum(e["stats"].mv_count for e in rep.shift_stats)
     assert solve_mvs < rep.mv_exact <= solve_mvs + rep.restarts * 16
-    assert rep.mv_equivalent == 0.0
     assert rep.degree_used == 0
 
 
@@ -269,16 +266,14 @@ def test_baseline_more_moments_cost_fewer_applications(diag_problem):
     p = diag_problem
     rng = np.random.default_rng(23)
     v0 = rng.standard_normal((200, 3))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        narrow = run_baseline(
-            p["a"], p["tr"], p["iv"], 4, 3, v0,
-            q=16, krylov_tol=1e-12, tol=1e-10, n_ev_target=10,
-        )
-        wide = run_baseline(
-            p["a"], p["tr"], p["iv"], 8, 3, v0,
-            q=16, krylov_tol=1e-12, tol=1e-10, n_ev_target=10,
-        )
+    narrow = run_baseline(
+        p["a"], p["tr"], p["iv"], 4, 3, v0,
+        q=16, krylov_tol=1e-12, tol=1e-10, n_ev_target=10,
+    )
+    wide = run_baseline(
+        p["a"], p["tr"], p["iv"], 8, 3, v0,
+        q=16, krylov_tol=1e-12, tol=1e-10, n_ev_target=10,
+    )
     assert narrow.converged and wide.converged
     assert wide.mv_exact < narrow.mv_exact
     assert wide.restarts <= narrow.restarts

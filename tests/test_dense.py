@@ -43,20 +43,18 @@ def test_orthonormal_range_wide_input_keeps_row_space_dimension(rng):
     assert np.max(np.abs(u.T @ u - np.eye(2))) <= 1e-12
 
 
-def test_orthonormalize_block_duplicated_column_warns_with_rank(rng):
+def test_orthonormalize_block_duplicated_column_reports_rank(rng):
     s = rng.standard_normal((30, 5))
     s[:, 3] = s[:, 1]
-    with pytest.warns(RuntimeWarning, match="rank 4 of 5"):
-        u, rank = orthonormalize_block(s)
+    u, rank = orthonormalize_block(s)
     assert rank == 4
     assert u.shape == (30, 4)
 
 
-def test_orthonormalize_block_zero_column_warns(rng):
+def test_orthonormalize_block_zero_column_reports_rank(rng):
     s = rng.standard_normal((20, 4))
     s[:, 2] = 0.0
-    with pytest.warns(RuntimeWarning, match="rank 3 of 4"):
-        u, rank = orthonormalize_block(s)
+    u, rank = orthonormalize_block(s)
     assert rank == u.shape[1] == 3
 
 
@@ -120,10 +118,14 @@ def test_condition_number_diagonal_ratio():
     assert condition_number(s) == pytest.approx(100.0, rel=1e-12)
 
 
-def test_condition_number_singular_block():
+def test_condition_number_singular_block(rng):
     s = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
-    c = condition_number(s)
-    assert not np.isfinite(c) or c > 1e15
+    assert condition_number(s) == np.inf
+    # near-dependent: sigma_min is roundoff, so a finite ratio would be noise
+    s = rng.standard_normal((20, 3))
+    s[:, 2] = s[:, 1] * (1.0 + 1e-15)
+    assert numerical_rank(s) == 2
+    assert condition_number(s) == np.inf
 
 
 def test_numerical_rank_full(rng):
