@@ -23,7 +23,7 @@ from .contour import run_baseline
 from .engine import run_cjssrr
 from .errors import EigenspanError
 from .estimators import estimate_count, recommended_block_size, select_degree
-from .dense import condition_number, numerical_rank
+from .dense import _kappa_rank
 from .diagnostics import filter_probe, probe_csv
 from .filters import BASES, build_moment_block, make_filter_spec
 from .sparse import load_matrix_market
@@ -386,6 +386,8 @@ def cmd_bench(args):
 
 
 def cmd_conditioning(args):
+    if args.ell < 1:
+        raise ValueError(f"--ell must be >= 1, got {args.ell}")
     a, tr, iv = _resolve_problem(args)
     rng = np.random.default_rng(args.seed)
     v0 = rng.standard_normal((a.n, args.ell))
@@ -398,9 +400,7 @@ def cmd_conditioning(args):
             else:
                 degree = args.degree
             spec = make_filter_spec(iv, degree, m, basis=basis)
-            block = build_moment_block(a_t, v0, spec)
-            kappa = condition_number(block)
-            rank = numerical_rank(block)
+            kappa, rank = _kappa_rank(build_moment_block(a_t, v0, spec))
             lines.append(f"{basis},{m},{args.ell},{kappa:.17g},{rank}")
     _emit_text("\n".join(lines) + "\n", args.out)
     return 0

@@ -44,10 +44,7 @@ def dense_sym_eig(b):
 def condition_number(s):
     """2-norm condition number sigma_max / sigma_min, or +inf exactly when
     ``numerical_rank`` is below full (the ratio would then be roundoff)."""
-    sv = np.linalg.svd(np.asarray(s, dtype=np.float64), compute_uv=False)
-    if sv.size == 0 or _rank(sv) < sv.size:
-        return np.inf
-    return float(sv[0] / sv[-1])
+    return _kappa_rank(s)[0]
 
 
 def _rank(sv):
@@ -55,9 +52,16 @@ def _rank(sv):
     return int(np.count_nonzero(sv > RANK_TOL * sv[0])) if sv.size else 0
 
 
+def _kappa_rank(s):
+    """(``condition_number(s)``, ``numerical_rank(s)``) from one SVD."""
+    sv = np.linalg.svd(np.asarray(s, dtype=np.float64), compute_uv=False)
+    rank = _rank(sv)
+    return (float(sv[0] / sv[-1]) if 0 < rank == sv.size else np.inf), rank
+
+
 def numerical_rank(s):
     """Number of singular values above RANK_TOL * sigma_max."""
-    return _rank(np.linalg.svd(np.asarray(s, dtype=np.float64), compute_uv=False))
+    return _kappa_rank(s)[1]
 
 
 def orthonormal_range(s):

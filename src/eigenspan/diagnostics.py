@@ -8,7 +8,6 @@ Series evaluation, quadrature and the basis polynomials come from
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,19 +259,14 @@ def error_at_eigenvalue_bound(sm, lam, m, d, p_sup_ratio=1.0):
     ``p_sup_ratio``, the sup norm of the basis polynomial over the interval
     relative to the unit normalization (1.0 for the Chebyshev basis).
 
-    Returns +inf (with a warning) when an eigenvalue of the model sits
-    exactly on an interval end, which makes the angular gap zero.
+    Returns +inf when an eigenvalue of the model sits exactly on an
+    interval end, which makes the angular gap zero.
     """
     if m < 1 or d < 2:
         raise ValueError("need m >= 1 and d >= 2")
     iv = sm.interval
     delta_min = _boundary_angle_gap(sm)
     if delta_min == 0.0:
-        warnings.warn(
-            "an eigenvalue sits exactly on an interval end; the bound is infinite",
-            RuntimeWarning,
-            stacklevel=2,
-        )
         return math.inf
     w = iv.width_t
     main = PI**6 / (delta_min**4 * (d + 2) ** 3)

@@ -208,7 +208,9 @@ def build_moment_block(a_t, v, spec, counter=None):
 
     Computes S_k = F_d(p_k)(A_t) V for k = 0..m-1 using the three-term
     Chebyshev recurrence on the mapped operator: exactly d * ell matrix
-    applications for an n-by-ell start block, independent of m.
+    applications for an n-by-ell start block, independent of m.  Every
+    iterate T_j(A_t) V is added into all m moments at once, through one
+    (n, m, ell) accumulator whose slice [:, k, :] is S_k.
 
     Parameters
     ----------
@@ -220,8 +222,8 @@ def build_moment_block(a_t, v, spec, counter=None):
     Returns
     -------
     ndarray, shape (n, m * ell)
-        The stacked block S = [S_0 | ... | S_{m-1}]; columns
-        k*ell .. (k+1)*ell - 1 hold S_k.  ``counter`` is charged the
+        The accumulator reshaped to the stacked block S = [S_0 | ... | S_{m-1}];
+        columns k*ell .. (k+1)*ell - 1 hold S_k.  ``counter`` is charged the
         d * ell applications.
 
     Raises
@@ -235,26 +237,21 @@ def build_moment_block(a_t, v, spec, counter=None):
         raise ValueError(f"start block must be 2-D, got shape {v.shape}")
     n, ell = v.shape
     m, d = spec.m, spec.d
-    weighted = spec.rho * spec.coeffs  # (m, d+1): rho_j * c_{k, j}
+    w = spec.rho * spec.coeffs  # (m, d+1): rho_j * c_{k, j}
+    w[:, 0] *= 0.5  # the c_{k,0}/2 term; halving is exact
 
-    s = np.zeros((n, m * ell))
-    blocks = [s[:, k * ell : (k + 1) * ell] for k in range(m)]
-
-    v_prev = v
-    for k in range(m):
-        blocks[k] += 0.5 * weighted[k, 0] * v_prev
-    if d >= 1:
-        v_curr = a_t.apply(v_prev, counter)
-        for k in range(m):
-            blocks[k] += weighted[k, 1] * v_curr
-        for j in range(2, d + 1):
-            v_prev, v_curr = v_curr, 2.0 * a_t.apply(v_curr, counter) - v_prev
-            if not np.all(np.isfinite(v_curr)):
+    s = np.zeros((n, m, ell))
+    t = v
+    for j in range(d + 1):
+        if j == 1:
+            t_prev, t = t, a_t.apply(t, counter)
+        elif j > 1:
+            t_prev, t = t, 2.0 * a_t.apply(t, counter) - t_prev
+            if not np.all(np.isfinite(t)):
                 raise RecurrenceDivergenceError(
                     f"recurrence diverged at step {j} of {d}; "
                     "the spectral transform does not enclose the spectrum",
                     j,
                 )
-            for k in range(m):
-                blocks[k] += weighted[k, j] * v_curr
-    return s
+        s += w[:, j, None] * t[:, None, :]
+    return s.reshape(n, m * ell)

@@ -140,6 +140,17 @@ def test_nonpositive_sizes_exit_1_with_one_line(matrices, capsys, flag):
     assert err.startswith("eigenspan solve: ")
 
 
+@pytest.mark.parametrize("ell", ["0", "-1"])
+def test_conditioning_nonpositive_ell_exits_1_with_one_line(matrices, capsys, ell):
+    rc = main(["conditioning", "--matrix-path", matrices["diag200"], "--a", "-0.05",
+               "--b", "0.05", "--ell", ell])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("eigenspan conditioning: --ell must be >= 1")
+
+
 def test_unknown_command_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

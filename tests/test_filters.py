@@ -208,11 +208,12 @@ def test_midpoint_error_decays_with_degree():
     assert errors[-1] < errors[0] / 10.0
 
 
-def test_moment_block_matches_scalar_filter_on_diagonal(rng):
+@pytest.mark.parametrize("d", [0, 1, 2, 60])
+def test_moment_block_matches_scalar_filter_on_diagonal(rng, d):
     t_diag = rng.uniform(-0.95, 0.95, size=40)
     a = diag_matrix(t_diag)
     op = MappedOperator(a, IDENTITY_TRANSFORM)
-    spec = make_filter_spec(INTERVAL, d=60, m=3)
+    spec = make_filter_spec(INTERVAL, d=d, m=3)
     v = rng.standard_normal((40, 5))
     block = build_moment_block(op, v, spec)
     for k in range(3):
@@ -254,13 +255,14 @@ def test_moment_block_is_linear_in_the_polynomial(rng):
     assert np.max(np.abs(combined - total)) <= 1e-13 * max(1.0, np.max(np.abs(total)))
 
 
-def test_moment_block_mv_accounting(rng):
+@pytest.mark.parametrize("d", [0, 1, 2, 25])
+def test_moment_block_mv_accounting(rng, d):
     a = diag_matrix(rng.uniform(-0.5, 0.5, size=30))
     op = MappedOperator(a, IDENTITY_TRANSFORM)
-    spec = make_filter_spec(INTERVAL, d=25, m=4)
+    spec = make_filter_spec(INTERVAL, d=d, m=4)
     counter = MVCounter()
     block = build_moment_block(op, rng.standard_normal((30, 6)), spec, counter)
-    assert counter.count == 25 * 6
+    assert counter.count == d * 6
     assert block.shape == (30, 4 * 6)
 
 
