@@ -358,6 +358,8 @@ def cmd_count(args):
 
 
 def cmd_probe(args):
+    if not args.points:
+        raise ValueError("--points must list at least one t value")
     iv = mapped_interval(args.a, args.b)
     degrees = np.unique(
         np.logspace(np.log10(args.d_min), np.log10(args.d_max), args.n_degrees).astype(int)
@@ -388,6 +390,8 @@ def cmd_bench(args):
 def cmd_conditioning(args):
     if args.ell < 1:
         raise ValueError(f"--ell must be >= 1, got {args.ell}")
+    if not args.m_grid:
+        raise ValueError("--m-grid must list at least one moment count")
     a, tr, iv = _resolve_problem(args)
     rng = np.random.default_rng(args.seed)
     v0 = rng.standard_normal((a.n, args.ell))

@@ -96,10 +96,13 @@ def mv_accounting(d, m, ell, n, nnz):
     (per_iter_exact, per_iter_equivalent)
         ``per_iter_exact``: d * ell filter applications plus m * ell for the
         projection, i.e. (d / m + 1) * m * ell.
-        ``per_iter_equivalent``: the non-product dense work of the filter
-        recurrence (axpy updates on the blocks) expressed in units of one
-        sparse product, (m + 1) * n / nnz * d * ell.  Solves report neither;
-        they report the applications they counted, ``mv_exact``.
+        ``per_iter_equivalent``: a model of the filter's non-product dense
+        work, m + 1 passes over an n-by-ell block per step, in units of one
+        sparse product: (m + 1) * n / nnz * d * ell.  It is a model, not a
+        measurement: ``build_moment_block`` makes four elementwise passes
+        per step whatever m is, and adds the iterates into all m moments
+        with one GEMM per batch.  Solves report neither; they report the
+        applications they counted, ``mv_exact``.
     """
     per_iter = d * ell + m * ell
     equivalent = (m + 1) * n / nnz * d * ell

@@ -22,12 +22,16 @@ class IntervalError(EigenspanError, ValueError):
 
 
 class RecurrenceDivergenceError(EigenspanError, FloatingPointError):
-    """Three-term recurrence produced non-finite values.
+    """Chebyshev recurrence iterates grew past the bound of a spectrum in [-1, 1].
+
+    Raised when ||T_j(A_t) V||_F exceeds ``filters.GROWTH_LIMIT`` * ||V||_F or
+    stops being finite, which means the spectral transform does not enclose
+    the spectrum.
 
     Attributes
     ----------
     step : int
-        Recurrence step (polynomial degree) at which the blow-up was detected.
+        First recurrence step (polynomial degree) over the limit.
     """
 
     def __init__(self, message, step):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RecurrenceDivergenceError
+from .sparse import matvec
 
 BASES = ("chebyshev", "scaled", "monomial")
 
@@ -36,6 +37,13 @@ PANEL_RADIANS = 24.0
 #: at degree 10^4 this keeps each complex quadrature temporary near 256 KB
 #: and each cosine table near 10 MB.
 ANGLE_CHUNK = 128
+#: Byte budget of ``build_moment_block``'s ring of iterates; the ring holds
+#: as many (n, ell) iterates as fit, at least 3 and at most BATCH_MAX.
+BATCH_BYTES = 2**20
+#: Most iterates per moment-accumulation GEMM.
+BATCH_MAX = 16
+#: Largest ||T_j(A_t) V||_F / ||V||_F that ``build_moment_block`` accepts.
+GROWTH_LIMIT = 16.0
 
 
 def jackson_factors(d):
@@ -207,10 +215,13 @@ def build_moment_block(a_t, v, spec, counter=None):
     """Apply all m filters to a start block with one shared recurrence.
 
     Computes S_k = F_d(p_k)(A_t) V for k = 0..m-1 using the three-term
-    Chebyshev recurrence on the mapped operator: exactly d * ell matrix
-    applications for an n-by-ell start block, independent of m.  Every
-    iterate T_j(A_t) V is added into all m moments at once, through one
-    (n, m, ell) accumulator whose slice [:, k, :] is S_k.
+    Chebyshev recurrence on the mapped operator: exactly d * ell products
+    with the original matrix for an n-by-ell start block, independent of m.
+    Iterate T_j(A_t) V goes into row j % B of one (B, n, ell) ring buffer,
+    where B is what fits in BATCH_BYTES, clipped to [3, BATCH_MAX].  Each
+    time the ring fills, and at j = d, one GEMM adds its rows into all m
+    moments at once: S (m, n * ell) += W[:, j0:j+1] @ rows, with
+    W[k, j] = rho_j * c_{k,j}.
 
     Parameters
     ----------
@@ -222,15 +233,18 @@ def build_moment_block(a_t, v, spec, counter=None):
     Returns
     -------
     ndarray, shape (n, m * ell)
-        The accumulator reshaped to the stacked block S = [S_0 | ... | S_{m-1}];
-        columns k*ell .. (k+1)*ell - 1 hold S_k.  ``counter`` is charged the
+        The stacked block S = [S_0 | ... | S_{m-1}]; columns
+        k*ell .. (k+1)*ell - 1 hold S_k.  ``counter`` is charged the
         d * ell applications.
 
     Raises
     ------
     RecurrenceDivergenceError
-        If any recurrence iterate stops being finite (spectrum escaping
-        [-1, 1], i.e. an unsafe spectral transform); names the step.
+        If an iterate's Frobenius norm exceeds GROWTH_LIMIT * ||V||_F or is
+        not finite.  For a spectrum inside [-1, 1], |T_j| <= 1 bounds every
+        iterate by ||V||_F, so growth means the spectral transform misses
+        part of the spectrum.  Checked once per batch, on the batch's last
+        iterate; names the batch's first step over the limit.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2:
@@ -239,19 +253,40 @@ def build_moment_block(a_t, v, spec, counter=None):
     m, d = spec.m, spec.d
     w = spec.rho * spec.coeffs  # (m, d+1): rho_j * c_{k, j}
     w[:, 0] *= 0.5  # the c_{k,0}/2 term; halving is exact
+    scale, shift = a_t.transform.scale, a_t.transform.shift
+    limit = GROWTH_LIMIT * np.linalg.norm(v)
 
-    s = np.zeros((n, m, ell))
-    t = v
-    for j in range(d + 1):
-        if j == 1:
-            t_prev, t = t, a_t.apply(t, counter)
-        elif j > 1:
-            t_prev, t = t, 2.0 * a_t.apply(t, counter) - t_prev
-            if not np.all(np.isfinite(t)):
-                raise RecurrenceDivergenceError(
-                    f"recurrence diverged at step {j} of {d}; "
-                    "the spectral transform does not enclose the spectrum",
-                    j,
-                )
-        s += w[:, j, None] * t[:, None, :]
-    return s.reshape(n, m * ell)
+    batch = max(3, min(BATCH_MAX, BATCH_BYTES // max(1, v.nbytes)))
+    ring = np.empty((batch, n, ell))
+    s = np.zeros((m, n * ell))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(d + 1):
+            row = ring[j % batch]
+            if j == 0:
+                row[...] = v
+            else:
+                # T_1 = A_t T_0 and T_j = 2 A_t T_{j-1} - T_{j-2}, with
+                # A_t x = scale * (A x) + shift * x; folding the 2 into scale
+                # and shift is exact.
+                c = 1.0 if j == 1 else 2.0
+                t = ring[(j - 1) % batch]
+                y = matvec(a_t.a, t, counter)
+                y *= c * scale
+                np.multiply(t, c * shift, out=row)
+                row += y
+                del y  # free the product before a batch GEMM allocates its result
+                if j > 1:
+                    row -= ring[(j - 2) % batch]
+            if j % batch == batch - 1 or j == d:
+                j0 = j - j % batch
+                rows = ring[: j - j0 + 1].reshape(j - j0 + 1, n * ell)
+                s += w[:, j0 : j + 1] @ rows
+                if not np.linalg.norm(row) <= limit:
+                    step = j0 + int(np.argmin(np.linalg.norm(rows, axis=1) <= limit))
+                    raise RecurrenceDivergenceError(
+                        f"recurrence diverged at step {step} of {d}: the iterate "
+                        f"outgrew {GROWTH_LIMIT:g} times the start block, so the "
+                        "spectral transform does not enclose the spectrum",
+                        step,
+                    )
+    return s.reshape(m, n, ell).transpose(1, 0, 2).reshape(n, m * ell)

@@ -18,6 +18,13 @@ def laplacian_1d(n):
     return SparseSymmetric.from_scipy(sp.diags([off, main, off], [-1, 0, 1]).tocsr())
 
 
+def laplacian_2d(k):
+    """Five-point Laplacian on a k-by-k grid (Dirichlet ends), n = k^2."""
+    t = sp.diags([np.full(k - 1, -1.0), np.full(k, 2.0), np.full(k - 1, -1.0)], [-1, 0, 1])
+    eye = sp.identity(k)
+    return SparseSymmetric.from_scipy((sp.kron(t, eye) + sp.kron(eye, t)).tocsr())
+
+
 def laplacian_eigs(n):
     """Ascending eigenvalues of laplacian_1d(n): 2 - 2 cos(k pi / (n+1))."""
     k = np.arange(1, n + 1)

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -22,7 +23,7 @@ import eigenspan
 from eigenspan.cli import main
 from eigenspan import fit_slope
 
-from helpers import laplacian_1d, laplacian_eigs
+from helpers import laplacian_1d, laplacian_2d, laplacian_eigs
 
 
 DIAG_EV = np.linspace(-1.0, 1.0, 200)
@@ -151,6 +152,25 @@ def test_conditioning_nonpositive_ell_exits_1_with_one_line(matrices, capsys, el
     assert captured.err.startswith("eigenspan conditioning: --ell must be >= 1")
 
 
+def test_conditioning_empty_m_grid_exits_1_with_one_line(matrices, capsys):
+    rc = main(["conditioning", "--matrix-path", matrices["diag200"], "--a", "-0.05",
+               "--b", "0.05", "--m-grid", ""])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("eigenspan conditioning: --m-grid must list")
+
+
+def test_probe_empty_points_exits_1_with_one_line(capsys):
+    rc = main(["probe", "--a", "-0.2", "--b", "0.4", "--p-degree", "0", "--points="])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("eigenspan probe: --points must list")
+
+
 def test_unknown_command_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -174,6 +194,25 @@ def test_count_matches_known_count(matrices, tmp_path):
     # plain trace mean = n_ev_tilde - 1 should sit on the true count of 10
     assert abs(est["n_ev_tilde"] - 1.0 - 10.0) < 0.01
     assert len(est["per_sample"]) == 30
+
+
+def test_count_with_bounds_above_lambda_min_exits_1_naming_the_step(tmp_path, capsys):
+    # lambda_min of the 12x12 grid is 8 sin^2(pi / 26) ~ 0.12, below the
+    # given lower bound 0.3, so it maps below -1 and the count recurrence
+    # grows there; it must stop with the step, not report a huge count.
+    path = tmp_path / "grid12.mtx"
+    eigenspan.save_matrix_market(laplacian_2d(12), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["count", "--matrix-path", str(path), "--a", "0.5", "--b", "0.6",
+                   "--spectral-bounds", "0.3,8", "--count-degree", "1384"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    found = re.match(r"eigenspan count: recurrence diverged at step (\d+) of 1384", captured.err)
+    assert found is not None, captured.err
+    assert 2 <= int(found.group(1)) <= 1384
 
 
 def test_count_and_solve_share_the_count_step(matrices, tmp_path):

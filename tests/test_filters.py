@@ -8,6 +8,7 @@ frozen before the quadrature implementation was written.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from eigenspan import (
     mapped_interval,
     step_coefficients,
 )
-from eigenspan.filters import ANGLE_CHUNK, FilterSpec, cosine_series
+from eigenspan import filters
+from eigenspan.filters import ANGLE_CHUNK, GROWTH_LIMIT, FilterSpec, cosine_series
 from helpers import diag_matrix, random_spectrum_matrix
 from eigenspan import SparseSymmetric
 
@@ -274,3 +276,57 @@ def test_recurrence_divergence_is_reported(rng):
     with pytest.raises(RecurrenceDivergenceError, match="step") as excinfo:
         build_moment_block(op, rng.standard_normal((2, 2)), spec)
     assert 2 <= excinfo.value.step <= 400
+
+
+def test_finite_growth_outside_the_mapped_range_is_reported(rng):
+    # T_60(1.5) ~ 5e24 is finite, so only the growth check can see that the
+    # eigenvalue 1.5 lies outside [-1, 1].
+    a = diag_matrix([1.5, 0.3, -0.7, 0.9, -0.2])
+    op = MappedOperator(a, IDENTITY_TRANSFORM)
+    spec = make_filter_spec(INTERVAL, d=60, m=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RecurrenceDivergenceError, match="step") as excinfo:
+            build_moment_block(op, rng.standard_normal((5, 3)), spec)
+    assert 2 <= excinfo.value.step <= 60
+
+
+def _set_batch(monkeypatch, v, rows):
+    """Size the iterate ring of build_moment_block to ``rows`` (<= BATCH_MAX) for ``v``."""
+    monkeypatch.setattr(filters, "BATCH_BYTES", rows * v.nbytes)
+
+
+@pytest.mark.parametrize("rows, d", [(3, 59), (3, 60), (7, 60)])
+def test_moment_block_batch_edges_match_scalar_filter(rng, monkeypatch, rows, d):
+    # (3, 59): the ring of 3 divides the d + 1 iterates; the others end on a
+    # partial batch.
+    t_diag = rng.uniform(-0.95, 0.95, size=40)
+    op = MappedOperator(diag_matrix(t_diag), IDENTITY_TRANSFORM)
+    spec = make_filter_spec(INTERVAL, d=d, m=3)
+    v = rng.standard_normal((40, 5))
+    _set_batch(monkeypatch, v, rows)
+    counter = MVCounter()
+    block = build_moment_block(op, v, spec, counter)
+    assert counter.count == d * 5
+    for k in range(3):
+        expected = filter_scalar(spec, k, t_diag)[:, None] * v
+        assert np.max(np.abs(block[:, k * 5 : (k + 1) * 5] - expected)) <= 1e-13
+
+
+def test_divergence_in_mid_batch_names_its_own_step(monkeypatch):
+    t_diag = np.array([1.5, 0.3, -0.6, 0.9])
+    op = MappedOperator(diag_matrix(t_diag), IDENTITY_TRANSFORM)
+    spec = make_filter_spec(INTERVAL, d=60, m=1)
+    v = np.ones((4, 2))
+    # ||T_j(D) V||_F from T_j evaluated on the diagonal.
+    norms = [
+        np.linalg.norm(np.polynomial.chebyshev.chebval(t_diag, [0] * j + [1])[:, None] * v)
+        for j in range(61)
+    ]
+    first = next(j for j, norm in enumerate(norms) if norm > GROWTH_LIMIT * np.linalg.norm(v))
+    rows = 4
+    assert 0 < first % rows < rows - 1  # strictly inside its batch
+    _set_batch(monkeypatch, v, rows)
+    with pytest.raises(RecurrenceDivergenceError) as excinfo:
+        build_moment_block(op, v, spec)
+    assert excinfo.value.step == first
