@@ -55,7 +55,6 @@ from .errors import (
 from .estimators import (
     CountEstimate,
     DegreeChoice,
-    constant_degree,
     estimate_count,
     recommended_block_size,
     select_degree,

@@ -360,6 +360,10 @@ def cmd_count(args):
 def cmd_probe(args):
     if not args.points:
         raise ValueError("--points must list at least one t value")
+    if args.n_degrees < 1:
+        raise ValueError(f"--n-degrees must be >= 1, got {args.n_degrees}")
+    if args.d_min < 2:
+        raise ValueError(f"--d-min must be >= 2, got {args.d_min}")
     iv = mapped_interval(args.a, args.b)
     degrees = np.unique(
         np.logspace(np.log10(args.d_min), np.log10(args.d_max), args.n_degrees).astype(int)

@@ -13,7 +13,7 @@ for its matrix applications.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,9 +91,9 @@ def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000):
     Uses a conjugate-orthogonal short-recurrence iteration for the
     complex-symmetric operator z I - A (bilinear inner products, one matrix
     application per iteration).  Stops each column at relative residual
-    <= tol or after maxit iterations; breakdowns and maxit are reported via
-    the stats flag rather than an exception so a surrounding solve can
-    continue with degraded accuracy.
+    <= tol or after maxit iterations; a vanishing bilinear form and maxit
+    are reported via the stats flag rather than an exception so a
+    surrounding solve can continue with degraded accuracy.
 
     Returns
     -------
@@ -134,7 +134,7 @@ def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000):
         for iters in range(1, maxit + 1):
             denom = ap @ ap
             if denom == 0.0 or rar == 0.0:
-                break  # bilinear-form breakdown: report what we have
+                break  # the bilinear form vanished: report what we have
             alpha = rar / denom
             xc += alpha * p
             r -= alpha * ap
@@ -205,12 +205,8 @@ def run_baseline(
             s += 2.0 * (c_re[:, None] * xj.real[:, None] - c_im[:, None] * xj.imag[:, None])
         return s.reshape(n, m * ell)
 
-    return restart_loop(
+    rep = restart_loop(
         a, tr, iv, v0, build_block,
-        tol=tol,
-        max_restarts=max_restarts,
-        n_ev_target=n_ev_target,
-        m=m,
-        degree_used=0,
-        shift_stats=shift_log,
+        tol=tol, max_restarts=max_restarts, n_ev_target=n_ev_target,
     )
+    return replace(rep, shift_stats=shift_log)

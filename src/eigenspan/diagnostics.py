@@ -111,6 +111,8 @@ def filter_probe(iv, p_degree, points, degrees):
     if degrees and degrees[0] < 2:
         raise ValueError(f"probe degrees must be >= 2, got {degrees[0]}")
     points = np.atleast_1d(np.asarray(points, dtype=np.float64))
+    if np.any(np.abs(points) > 1.0 + 1e-12):
+        raise ValueError("probe points must lie in [-1, 1]")
     d_max = degrees[-1] if degrees else 2
     row = step_coefficients(iv, "chebyshev", p_degree, d_max)
     a, b = iv.a_t, iv.b_t
@@ -215,7 +217,7 @@ class SpectrumModel:
     def inside_descending(self):
         """In-interval eigenvalues ordered from b downward (label order)."""
         ev = self.eigenvalues
-        inside = ev[(ev >= self.interval.a_t) & (ev <= self.interval.b_t)]
+        inside = ev[self.interval.contains(ev, mapped=True)]
         return inside[::-1]
 
 
@@ -233,7 +235,7 @@ def _boundary_angle_gap(sm):
     # a one-ulp phantom gap.
     if np.any(ev == iv.a_t) or np.any(ev == iv.b_t):
         return 0.0
-    inside = ev[(ev >= iv.a_t) & (ev <= iv.b_t)]
+    inside = ev[iv.contains(ev, mapped=True)]
     below = ev[ev < iv.a_t]
     above = ev[ev > iv.b_t]
     gaps = []

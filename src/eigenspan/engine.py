@@ -7,7 +7,7 @@ driver; the damped-Chebyshev solver here and the contour baseline differ
 only in the block builder they hand it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -117,6 +117,7 @@ class SolveReport:
     ``mv_exact`` counts the matrix applications the solve made.
     ``degraded_ranks`` holds the basis rank of each restart whose stacked
     block lost numerical rank; it is the only record of rank loss.
+    ``degree_used`` is the polynomial filter's degree, 0 when none ran.
     """
 
     ritz: RitzSet
@@ -124,10 +125,10 @@ class SolveReport:
     restarts: int
     max_residual: float
     mv_exact: int
-    degree_used: int
     m: int
     ell: int
     n_ev_target: int
+    degree_used: int = 0
     degraded_ranks: list = field(default_factory=list)
     residual_history: list = field(default_factory=list)
     shift_stats: list = field(default_factory=list)
@@ -154,9 +155,6 @@ def restart_loop(
     tol,
     max_restarts,
     n_ev_target,
-    m,
-    degree_used,
-    shift_stats=(),
 ):
     """Restart / Rayleigh-Ritz driver shared by both solvers.
 
@@ -172,11 +170,10 @@ def restart_loop(
         ``build_block(v, restart, counter)`` returns the stacked moment
         block [S_0 | ... | S_{m-1}] of shape (n, m * ell) for the start
         block ``v`` and charges its matrix applications to ``counter``.
-        It is the only step in which the methods differ.
+        It is the only step in which the methods differ.  The report's m
+        is the block's width over ell.
     tol, max_restarts, n_ev_target
         As in ``run_cjssrr``.
-    m, degree_used, shift_stats
-        Copied into the report.
 
     Returns
     -------
@@ -187,6 +184,8 @@ def restart_loop(
         raise ValueError("n_ev_target is required")
     if max_restarts < 1:
         raise ValueError(f"need max_restarts >= 1, got {max_restarts}")
+    if not tol > 0:
+        raise ValueError(f"need tol > 0, got {tol}")
     v = np.asarray(v0, dtype=np.float64)
     ell = v.shape[1]
     if ell < 1:
@@ -235,13 +234,11 @@ def restart_loop(
         restarts=restarts,
         max_residual=float(kept_res.max()) if kept_res.size else float("nan"),
         mv_exact=counter.count,
-        degree_used=int(degree_used),
-        m=int(m),
+        m=s.shape[1] // ell,
         ell=ell,
         n_ev_target=int(n_ev_target),
         degraded_ranks=degraded,
         residual_history=history,
-        shift_stats=list(shift_stats),
     )
 
 
@@ -267,7 +264,7 @@ def run_cjssrr(
     v0 : ndarray, shape (n, ell)
         Start block.
     tol : float
-        Relative-residual target, ||A x - theta x|| / ||A|| < tol.
+        Relative-residual target, ||A x - theta x|| / ||A|| < tol; tol > 0.
     max_restarts : int
         At least 1.
     n_ev_target : int
@@ -287,12 +284,9 @@ def run_cjssrr(
     ``degraded_ranks``; nothing is printed.
     """
     a_t = MappedOperator(a, tr)
-    return restart_loop(
+    rep = restart_loop(
         a, tr, iv, v0,
         lambda v, restart, counter: build_moment_block(a_t, v, spec, counter),
-        tol=tol,
-        max_restarts=max_restarts,
-        n_ev_target=n_ev_target,
-        m=spec.m,
-        degree_used=spec.d,
+        tol=tol, max_restarts=max_restarts, n_ev_target=n_ev_target,
     )
+    return replace(rep, degree_used=int(spec.d))

@@ -70,23 +70,6 @@ def select_degree(width_t, m, d_factor=1.0, k_factor=10.0):
     )
 
 
-def constant_degree(width_t, convention="adjusted"):
-    """Width-only degree rule d = ceil(pi^2 / w^(4/3) + pi^2 / w) (- 2).
-
-    Two offset conventions are in circulation for this rule; ``adjusted``
-    subtracts 2 from the ceiling (consistent with ``select_degree``),
-    ``literal`` evaluates the ceiling expression as written.
-    """
-    if not 0.0 < width_t <= 2.0:
-        raise ValueError(f"mapped width must be in (0, 2], got {width_t}")
-    raw = math.ceil(PI2 / width_t ** (4.0 / 3.0) + PI2 / width_t)
-    if convention == "adjusted":
-        return max(2, raw - 2)
-    if convention == "literal":
-        return raw
-    raise ValueError(f"unknown convention {convention!r}")
-
-
 def theoretical_degree_bound(iv, m, n_ev, ell, zeta=1.0):
     """Sufficient expansion degree from the worst-case convergence analysis.
 
@@ -183,7 +166,7 @@ def estimate_count(a_t, iv, d=2000, samples=30, seed=0):
     if d < 2:
         raise ValueError(f"need degree >= 2, got {d}")
     rng = np.random.default_rng(seed)
-    n = a_t.n
+    n = a_t.a.n
     v = rng.integers(0, 2, size=(n, samples)).astype(np.float64) * 2.0 - 1.0
     spec = make_filter_spec(iv, d=d, m=1, basis="chebyshev")
     per_sample = np.einsum("ij,ij->j", v, build_moment_block(a_t, v, spec))

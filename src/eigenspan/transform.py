@@ -14,7 +14,7 @@ import numpy as np
 
 from .dense import dense_sym_eig
 from .errors import IntervalError
-from .sparse import matvec
+from .sparse import SparseSymmetric, matvec
 
 
 @dataclass(frozen=True)
@@ -25,14 +25,10 @@ class SpectralTransform:
     ----------
     lambda_min_est, lambda_max_est : float
         Estimated (padded) extreme eigenvalues, lambda_min_est < lambda_max_est.
-    breakdown : bool
-        True if the Lanczos recurrence hit an invariant subspace early; the
-        estimates are then exact Ritz values of the captured subspace.
     """
 
     lambda_min_est: float
     lambda_max_est: float
-    breakdown: bool = False
 
     def map(self, t):
         """Original units -> mapped units."""
@@ -87,25 +83,12 @@ class TargetInterval:
         return (v >= self.a) & (v <= self.b)
 
 
+@dataclass(frozen=True)
 class MappedOperator:
-    """Lazily applies the transformed matrix l(A) to blocks.
+    """l(A) = scale * A + shift * I; only ``build_moment_block`` applies it."""
 
-    Matrix-vector products are counted against the *original* matrix: one
-    application of l(A) costs exactly one application of A.
-    """
-
-    def __init__(self, a, tr):
-        self.a = a
-        self.transform = tr
-        self._scale = tr.scale
-        self._shift = -tr.shift
-
-    @property
-    def n(self):
-        return self.a.n
-
-    def apply(self, x, counter=None):
-        return self._scale * matvec(self.a, x, counter) - self._shift * x
+    a: SparseSymmetric
+    transform: SpectralTransform
 
 
 def lanczos_extremes(a, steps=50, seed=0):
@@ -121,9 +104,9 @@ def lanczos_extremes(a, steps=50, seed=0):
 
     Returns
     -------
-    (theta, resid, breakdown)
-        Ritz values (ascending), their residual norms |beta_last * u_last|,
-        and whether the recurrence broke down (invariant subspace found).
+    (theta, resid)
+        Ritz values (ascending) and their residual norms |beta_last * u_last|,
+        which are 0 if an invariant subspace stops the recurrence early.
     """
     n = a.n
     steps = int(steps)
@@ -138,7 +121,6 @@ def lanczos_extremes(a, steps=50, seed=0):
     basis = np.zeros((n, steps))
     alphas = np.zeros(steps)
     betas = np.zeros(steps)  # betas[j] couples steps j and j+1
-    breakdown = False
     k = 0
     beta_last = 0.0
     for j in range(steps):
@@ -154,9 +136,7 @@ def lanczos_extremes(a, steps=50, seed=0):
         beta = np.linalg.norm(w)
         scale = max(1.0, np.max(np.abs(alphas[: j + 1])))
         if beta <= 1e-14 * scale:
-            # A vanishing beta at the final step just means the Krylov space
-            # is exhausted; only stopping early counts as a breakdown.
-            breakdown = j + 1 < steps
+            # Invariant subspace: the captured Ritz values are exact.
             beta_last = 0.0
             break
         beta_last = beta
@@ -167,7 +147,7 @@ def lanczos_extremes(a, steps=50, seed=0):
     off = betas[: k - 1]
     theta, u = dense_sym_eig(np.diag(alphas[:k]) + np.diag(off, 1) + np.diag(off, -1))
     resid = np.abs(beta_last * u[-1, :])
-    return theta, resid, breakdown
+    return theta, resid
 
 
 def estimate_spectral_range(a, steps=50, seed=0):
@@ -179,7 +159,7 @@ def estimate_spectral_range(a, steps=50, seed=0):
     one-point spectrum (estimates collapse) is widened symmetrically so the
     map stays well defined.
     """
-    theta, resid, breakdown = lanczos_extremes(a, steps=steps, seed=seed)
+    theta, resid = lanczos_extremes(a, steps=steps, seed=seed)
     # Residuals of converged Ritz pairs underflow below the rounding error
     # of the Ritz values themselves; keep a roundoff-scale safety margin so
     # the padded range still encloses the true extremes.
@@ -190,7 +170,7 @@ def estimate_spectral_range(a, steps=50, seed=0):
         # One-point spectrum: widen symmetrically so the map is well defined.
         pad = max(1e-8, 1e-8 * abs(hi))
         lo, hi = lo - pad, hi + pad
-    return SpectralTransform(lo, hi, breakdown=breakdown)
+    return SpectralTransform(lo, hi)
 
 
 def exact_transform(lambda_min, lambda_max):

@@ -131,7 +131,7 @@ def test_empty_interval_exits_1(matrices, capsys):
     assert "interval" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--samples", "--m", "--ell", "--max-restarts"])
+@pytest.mark.parametrize("flag", ["--samples", "--m", "--ell", "--max-restarts", "--tol"])
 def test_nonpositive_sizes_exit_1_with_one_line(matrices, capsys, flag):
     rc = main(["solve", "--matrix-path", matrices["diag200"], "--a", "-0.05", "--b", "0.05",
                flag, "0"])
@@ -169,6 +169,16 @@ def test_probe_empty_points_exits_1_with_one_line(capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("eigenspan probe: --points must list")
+
+
+@pytest.mark.parametrize("flag, bound", [("--n-degrees", 1), ("--d-min", 2)])
+def test_probe_degree_grid_exits_1_with_one_line(capsys, flag, bound):
+    rc = main(["probe", "--a", "-0.2", "--b", "0.4", "--p-degree", "0", "--points=0.1",
+               flag, "0"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"eigenspan probe: {flag} must be >= {bound}, got 0\n"
 
 
 def test_unknown_command_exits_1(capsys):

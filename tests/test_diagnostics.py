@@ -187,6 +187,13 @@ def test_probe_classifies_points(probe_interval):
     assert kinds[0.4] == "endpoint"
 
 
+def test_probe_rejects_points_outside_the_mapped_range(probe_interval):
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        filter_probe(probe_interval, 1, [0.1, 1.5], [100])
+    rows = filter_probe(probe_interval, 1, [1.0 + 1e-13], [100])
+    assert rows[0].bound_kind == "outside"
+
+
 def test_probe_csv_header_and_roundtrip(probe_interval):
     rows = filter_probe(probe_interval, 2, [-0.6, -0.2], [100, 200])
     text = probe_csv(rows)

@@ -324,6 +324,16 @@ def test_solver_rejects_no_restarts_and_empty_start_block(rng, cols, max_restart
         )
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8])
+def test_solver_rejects_nonpositive_tolerance(rng, tol):
+    a = diag_matrix(np.linspace(-1.0, 1.0, 30))
+    tr = exact_transform(-1.0, 1.0)
+    iv = make_interval(tr, -0.2, 0.2)
+    spec = make_filter_spec(iv, d=20, m=2)
+    with pytest.raises(ValueError, match="tol > 0"):
+        run_cjssrr(a, tr, iv, spec, rng.standard_normal((30, 4)), tol=tol, n_ev_target=5)
+
+
 def test_unreachable_tolerance_reports_best_effort(rng):
     values = np.linspace(-1.0, 1.0, 80)
     a = diag_matrix(values)

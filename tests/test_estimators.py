@@ -9,7 +9,6 @@ from eigenspan import (
     BoundUndefinedError,
     MappedOperator,
     SparseSymmetric,
-    constant_degree,
     estimate_count,
     exact_transform,
     filter_scalar,
@@ -26,11 +25,13 @@ NARROW_WIDTH = 0.100008  # mapped width of a [1.9, 2.1] band in a [-1.696e-3, 3.
 
 
 @pytest.mark.parametrize(
-    "m, expected",
-    [(1, 211), (2, 212), (4, 220), (8, 259), (16, 433)],
+    "m, expected, k_factor",
+    [(1, 211, 10.0), (2, 212, 10.0), (4, 220, 10.0), (8, 259, 10.0), (16, 433, 10.0),
+     (2, 310, 1.0)],
+    ids=["1-211", "2-212", "4-220", "8-259", "16-433", "2-310-k1"],
 )
-def test_select_degree_reference_values(m, expected):
-    assert select_degree(NARROW_WIDTH, m).d == expected
+def test_select_degree_reference_values(m, expected, k_factor):
+    assert select_degree(NARROW_WIDTH, m, k_factor=k_factor).d == expected
 
 
 def test_select_degree_echoes_inputs():
@@ -72,13 +73,6 @@ def test_select_degree_validation():
         select_degree(0.2, 1, d_factor=0.5)
     with pytest.raises(ValueError):
         select_degree(0.2, 1, k_factor=12.0)
-
-
-def test_constant_degree_conventions():
-    assert constant_degree(NARROW_WIDTH, convention="adjusted") == 310
-    assert constant_degree(NARROW_WIDTH, convention="literal") == 312
-    with pytest.raises(ValueError):
-        constant_degree(0.2, convention="other")
 
 
 def test_theoretical_bound_single_basis_example():
