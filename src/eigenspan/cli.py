@@ -364,6 +364,8 @@ def cmd_probe(args):
         raise ValueError(f"--n-degrees must be >= 1, got {args.n_degrees}")
     if args.d_min < 2:
         raise ValueError(f"--d-min must be >= 2, got {args.d_min}")
+    if args.d_max < args.d_min:
+        raise ValueError(f"--d-max must be >= --d-min = {args.d_min}, got {args.d_max}")
     iv = mapped_interval(args.a, args.b)
     degrees = np.unique(
         np.logspace(np.log10(args.d_min), np.log10(args.d_max), args.n_degrees).astype(int)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import restart_loop
-from .sparse import matvec
+from .sparse import MVCounter, matvec
 
 
 @dataclass(frozen=True)
@@ -88,43 +88,39 @@ class ShiftedSolveStats:
 def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000):
     """Solve (z I - A) X = B column-wise for complex z with Im(z) != 0.
 
-    Uses a conjugate-orthogonal short-recurrence iteration for the
-    complex-symmetric operator z I - A (bilinear inner products, one matrix
-    application per iteration).  Stops each column at relative residual
-    <= tol or after maxit iterations; a vanishing bilinear form and maxit
-    are reported via the stats flag rather than an exception so a
-    surrounding solve can continue with degraded accuracy.
+    B is an (n, ell) block.  Uses a conjugate-orthogonal short-recurrence
+    iteration for the complex-symmetric operator z I - A (bilinear inner
+    products, one matrix application per iteration).  Stops each column at
+    relative residual <= tol (tol > 0) or after maxit iterations; a
+    vanishing bilinear form and maxit are reported via the stats flag
+    rather than an exception so a surrounding solve can continue with
+    degraded accuracy.
 
     Returns
     -------
-    (x, stats) : complex ndarray like ``b``, ShiftedSolveStats
+    (x, stats) : complex (n, ell) ndarray, ShiftedSolveStats
         ``iterations`` is the maximum over columns, ``final_relres`` the
         worst column, ``mv_count`` the total.
     """
     if z.imag == 0.0:
         raise ValueError("shift must have nonzero imaginary part")
+    if not tol > 0:
+        raise ValueError(f"shifted-solve tol must be > 0, got {tol}")
     b = np.asarray(b)
-    single = b.ndim == 1
-    b2 = b[:, None] if single else b
-    x = np.zeros(b2.shape, dtype=np.complex128)
-    total_mv = 0
+    x = np.zeros(b.shape, dtype=np.complex128)
+    counter = MVCounter()
     worst_iters = 0
     worst_relres = 0.0
     all_converged = True
 
-    def op(v):
-        nonlocal total_mv
-        total_mv += 1
-        return z * v - matvec(a, v)
-
-    for col in range(b2.shape[1]):
-        rhs = b2[:, col].astype(np.complex128)
+    for col in range(b.shape[1]):
+        rhs = b[:, col].astype(np.complex128)
         bnorm = np.linalg.norm(rhs)
         if bnorm == 0.0:
             continue
         xc = np.zeros_like(rhs)
         r = rhs.copy()
-        ar = op(r)
+        ar = z * r - matvec(a, r, counter)
         rar = r @ ar  # bilinear (unconjugated) product
         p = r.copy()
         ap = ar.copy()
@@ -142,7 +138,7 @@ def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000):
             if relres <= tol:
                 converged = True
                 break
-            ar = op(r)
+            ar = z * r - matvec(a, r, counter)
             rar_next = r @ ar
             beta = rar_next / rar
             rar = rar_next
@@ -154,12 +150,12 @@ def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000):
         all_converged = all_converged and converged
 
     stats = ShiftedSolveStats(
-        mv_count=total_mv,
+        mv_count=counter.count,
         iterations=worst_iters,
         final_relres=worst_relres,
         converged=all_converged,
     )
-    return (x[:, 0] if single else x), stats
+    return x, stats
 
 
 def run_baseline(

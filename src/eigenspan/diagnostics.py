@@ -72,19 +72,6 @@ class ProbeRow:
     bound: float
 
 
-def _chebyshev_norms(p_degree, width):
-    """Sup norms of T_k scaled to an interval of the given width.
-
-    For the Chebyshev polynomial of the first kind on the interval,
-    ||p|| = 1, ||p'|| = k^2 * (2/w), ||p''|| = k^2 (k^2 - 1)/3 * (2/w)^2
-    (the classical endpoint-extremal derivative values).
-    """
-    p_sup = 1.0
-    dp_sup = p_degree**2 * (2.0 / width)
-    ddp_sup = p_degree**2 * (p_degree**2 - 1) / 3.0 * (2.0 / width) ** 2
-    return p_sup, dp_sup, ddp_sup
-
-
 def filter_probe(iv, p_degree, points, degrees):
     """Measure |F_d(p)(t) - p(t) h(t)| against the pointwise error bounds.
 
@@ -116,7 +103,11 @@ def filter_probe(iv, p_degree, points, degrees):
     d_max = degrees[-1] if degrees else 2
     row = step_coefficients(iv, "chebyshev", p_degree, d_max)
     a, b = iv.a_t, iv.b_t
-    p_sup, dp_sup, ddp_sup = _chebyshev_norms(p_degree, iv.width_t)
+    # Sup norms on the interval: ||p|| = 1 and ||p^(k)|| = T_p^(k)(1) (2/w)^k,
+    # the Markov-extremal values (0 once k exceeds the degree).
+    p_sup = 1.0
+    dp_sup, ddp_sup = (markov_constants(p_degree + 1, k) * (2.0 / iv.width_t) ** k
+                       if k <= p_degree else 0.0 for k in (1, 2))
 
     theta = np.arccos(np.clip(points, -1.0, 1.0))
     # Basis values p(t) and the target p(t) h(t) at each point.

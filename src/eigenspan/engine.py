@@ -74,7 +74,7 @@ def rayleigh_ritz(a, u, iv, norm_a, counter=None):
     )
 
 
-def check_convergence(rs, iv, tol, n_ev_target):
+def check_convergence(rs, tol, n_ev_target):
     """Count converged in-interval pairs; converged means strictly below tol.
 
     Returns
@@ -83,8 +83,7 @@ def check_convergence(rs, iv, tol, n_ev_target):
         ``done`` is True when at least ``n_ev_target`` in-interval Ritz
         values have residual_norm < tol.
     """
-    inside = iv.contains(rs.values)
-    n_converged = int(np.count_nonzero(inside & (rs.residual_norms < tol)))
+    n_converged = int(np.count_nonzero(rs.in_interval & (rs.residual_norms < tol)))
     return n_converged >= n_ev_target, n_converged
 
 
@@ -209,7 +208,7 @@ def restart_loop(
             history.append(float(inside_res[: int(n_ev_target)][-1]))
         else:
             history.append(float("nan"))
-        converged, _ = check_convergence(rs, iv, tol, n_ev_target)
+        converged, _ = check_convergence(rs, tol, n_ev_target)
         if converged:
             break
         # Restart from the leading moment block, orthonormalized.  This

@@ -200,18 +200,18 @@ def parse_matrix_market(text):
             f"line 1: symmetry {symm!r} not supported (only 'symmetric' or 'general')"
         )
 
-    # Locate the size line: first non-comment, non-blank line after the header.
-    size_lineno = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        size_lineno = lineno
-        break
+    # Data lines after the header, blank and % lines skipped: the size line
+    # first, then the entries.
+    data = (
+        (lineno, stripped)
+        for lineno, stripped in enumerate((raw.strip() for raw in lines[1:]), start=2)
+        if stripped and not stripped.startswith("%")
+    )
+    size_lineno, size_line = next(data, (None, None))
     if size_lineno is None:
         raise MalformedFileError(f"line {len(lines)}: no size line found")
 
-    tokens = lines[size_lineno - 1].split()
+    tokens = size_line.split()
     if len(tokens) != 3:
         raise MalformedFileError(
             f"line {size_lineno}: size line has {len(tokens)} tokens, expected 3"
@@ -231,10 +231,7 @@ def parse_matrix_market(text):
     cols = np.empty(n_entries, dtype=np.int64)
     vals = np.empty(n_entries, dtype=np.float64)
     seen = 0
-    for lineno, raw in enumerate(lines[size_lineno:], start=size_lineno + 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
+    for lineno, stripped in data:
         if seen >= n_entries:
             raise MalformedFileError(
                 f"line {lineno}: more than the declared {n_entries} entries"
@@ -270,13 +267,7 @@ def parse_matrix_market(text):
             np.concatenate([cols, rows[off]]),
             np.concatenate([vals, vals[off]]),
         )
-
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols))
-    csr = coo.tocsr()  # sums duplicate coordinates
-    csr.sort_indices()
-    if symm == "general":
-        _check_numerically_symmetric(csr)
-    return SparseSymmetric(nrows, csr.indptr, csr.indices, csr.data)
+    return SparseSymmetric.from_scipy(sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)))
 
 
 def load_matrix_market(path):

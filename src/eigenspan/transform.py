@@ -91,22 +91,22 @@ class MappedOperator:
     transform: SpectralTransform
 
 
-def lanczos_extremes(a, steps=50, seed=0):
-    """Run Lanczos with full reorthogonalization from a seeded random start.
+def estimate_spectral_range(a, steps=50, seed=0):
+    """Estimate [lambda_min, lambda_max] with residual-padded Lanczos bounds.
 
-    Parameters
-    ----------
-    a : SparseSymmetric
-    steps : int
-        Krylov dimension (capped at n).
-    seed : int
-        Seed for the unit-norm Gaussian start vector.
+    Runs Lanczos with full reorthogonalization for ``steps`` steps from a
+    unit-norm Gaussian start vector drawn with ``seed``.  The returned
+    transform uses lambda_min_est = theta_1 - r_1 and
+    lambda_max_est = theta_s + r_s, where theta are the Ritz values and r
+    the Ritz residual norms |beta_last * u_last| (0 if an invariant subspace
+    stops the recurrence early), so the true extreme eigenvalues are
+    enclosed with high probability.  A one-point spectrum (estimates
+    collapse) is widened symmetrically so the map stays well defined.
 
-    Returns
-    -------
-    (theta, resid)
-        Ritz values (ascending) and their residual norms |beta_last * u_last|,
-        which are 0 if an invariant subspace stops the recurrence early.
+    Raises
+    ------
+    ValueError
+        If ``steps`` is below 2 or above n.
     """
     n = a.n
     steps = int(steps)
@@ -121,8 +121,6 @@ def lanczos_extremes(a, steps=50, seed=0):
     basis = np.zeros((n, steps))
     alphas = np.zeros(steps)
     betas = np.zeros(steps)  # betas[j] couples steps j and j+1
-    k = 0
-    beta_last = 0.0
     for j in range(steps):
         basis[:, j] = q
         w = matvec(a, q)
@@ -147,19 +145,6 @@ def lanczos_extremes(a, steps=50, seed=0):
     off = betas[: k - 1]
     theta, u = dense_sym_eig(np.diag(alphas[:k]) + np.diag(off, 1) + np.diag(off, -1))
     resid = np.abs(beta_last * u[-1, :])
-    return theta, resid
-
-
-def estimate_spectral_range(a, steps=50, seed=0):
-    """Estimate [lambda_min, lambda_max] with residual-padded Lanczos bounds.
-
-    The returned transform uses lambda_min_est = theta_1 - r_1 and
-    lambda_max_est = theta_s + r_s, where r is the Ritz residual norm, so
-    the true extreme eigenvalues are enclosed with high probability.  A
-    one-point spectrum (estimates collapse) is widened symmetrically so the
-    map stays well defined.
-    """
-    theta, resid = lanczos_extremes(a, steps=steps, seed=seed)
     # Residuals of converged Ritz pairs underflow below the rounding error
     # of the Ritz values themselves; keep a roundoff-scale safety margin so
     # the padded range still encloses the true extremes.

@@ -181,6 +181,19 @@ def test_probe_degree_grid_exits_1_with_one_line(capsys, flag, bound):
     assert captured.err == f"eigenspan probe: {flag} must be >= {bound}, got 0\n"
 
 
+@pytest.mark.parametrize("grid, d_min, d_max", [
+    ([], 100, 0),
+    (["--d-min", "300", "--n-degrees", "3"], 300, 200),
+], ids=["d-max-0", "swapped"])
+def test_probe_reversed_degree_range_exits_1_with_one_line(capsys, grid, d_min, d_max):
+    rc = main(["probe", "--a", "-0.2", "--b", "0.4", "--p-degree", "0", "--points=0.1",
+               *grid, "--d-max", str(d_max)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"eigenspan probe: --d-max must be >= --d-min = {d_min}, got {d_max}\n"
+
+
 def test_unknown_command_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -286,6 +299,16 @@ def test_baseline_reports_shift_statistics(matrices, tmp_path):
     assert len(stats) == report["restarts"] * 8  # upper-half nodes of q=16
     assert all(s["converged"] for s in stats)
     assert sum(s["mv_count"] for s in stats) < report["mv_exact"]
+
+
+@pytest.mark.parametrize("verb", ["baseline", "bench"])
+def test_zero_krylov_tol_exits_1_with_one_line(matrices, capsys, verb):
+    rc = main([verb, "--matrix-path", matrices["diag200"], "--a", "-0.0503", "--b", "0.0503",
+               "--krylov-tol", "0"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"eigenspan {verb}: shifted-solve tol must be > 0, got 0.0\n"
 
 
 # ---------------------------------------------------------------------------

@@ -129,19 +129,11 @@ def test_shifted_solve_matches_dense_solve(rng):
     assert np.abs(x - reference).max() <= 10 * tol * np.abs(reference).max()
 
 
-def test_shifted_solve_single_vector_shape(rng):
-    a = SparseSymmetric.from_dense(np.diag(np.linspace(-1, 1, 40)))
-    b = rng.standard_normal(40)
-    x, stats = shifted_krylov_solve(a, 0.2 + 0.5j, b)
-    assert x.shape == (40,)
-    assert stats.converged
-
-
 def test_shifted_solve_interior_shift_is_harder(rng):
     # A shift whose real part falls inside the spectrum makes the system
     # indefinite and costs strictly more iterations than an edge shift.
     a = SparseSymmetric.from_dense(np.diag(np.linspace(-1, 1, 200)))
-    b = rng.standard_normal(200)
+    b = rng.standard_normal((200, 1))
     _, interior = shifted_krylov_solve(a, 0.0 + 0.1j, b, tol=1e-12)
     _, edge = shifted_krylov_solve(a, 1.0 + 0.1j, b, tol=1e-12)
     assert interior.converged and edge.converged
@@ -150,7 +142,7 @@ def test_shifted_solve_interior_shift_is_harder(rng):
 
 def test_shifted_solve_reports_nonconvergence_at_maxit(rng):
     a = SparseSymmetric.from_dense(np.diag(np.linspace(-1, 1, 200)))
-    b = rng.standard_normal(200)
+    b = rng.standard_normal((200, 1))
     _, stats = shifted_krylov_solve(a, 0.0 + 0.001j, b, tol=1e-14, maxit=5)
     assert not stats.converged
     assert stats.iterations == 5
@@ -160,7 +152,13 @@ def test_shifted_solve_reports_nonconvergence_at_maxit(rng):
 def test_shifted_solve_rejects_real_shift():
     a = SparseSymmetric.from_dense(np.eye(4))
     with pytest.raises(ValueError):
-        shifted_krylov_solve(a, complex(2.0, 0.0), np.ones(4))
+        shifted_krylov_solve(a, complex(2.0, 0.0), np.ones((4, 1)))
+
+
+def test_shifted_solve_rejects_nonpositive_tolerance():
+    a = SparseSymmetric.from_dense(np.diag([1.0, 2.0, 3.0, 4.0]))
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        shifted_krylov_solve(a, 0.5 + 0.5j, np.ones((4, 1)), tol=0.0)
 
 
 def test_shifted_solve_counts_applications(rng):

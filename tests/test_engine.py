@@ -175,13 +175,10 @@ def test_check_convergence_counts_and_strictness():
         residual_norms=np.array([0.0, 1e-10, 0.0]),
         in_interval=np.array([True, True, False]),
     )
-    from eigenspan import mapped_interval
-
-    iv = mapped_interval(-0.1, 0.1)
-    done, count = check_convergence(rs, iv, tol=1e-10, n_ev_target=2)
+    done, count = check_convergence(rs, tol=1e-10, n_ev_target=2)
     assert not done  # the 1e-10 residual equals tol, so it does not count
     assert count == 1
-    done, count = check_convergence(rs, iv, tol=1e-9, n_ev_target=2)
+    done, count = check_convergence(rs, tol=1e-9, n_ev_target=2)
     assert done
     assert count == 2
 
