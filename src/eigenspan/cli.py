@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 import jsonschema
 
-from .contour import run_baseline
+from .contour import check_node_count, check_shift_tol, run_baseline
 from .engine import run_cjssrr
 from .errors import EigenspanError
 from .estimators import estimate_count, recommended_block_size, select_degree
@@ -377,6 +377,9 @@ def cmd_probe(args):
 
 def cmd_bench(args):
     start = time.perf_counter()
+    # The baseline runs last; reject its inputs before the count and filter solve.
+    check_node_count(args.quad_nodes)
+    check_shift_tol(args.krylov_tol)
     p = _prepare(args)
     rep_cj, cj_config, cj_time = _run_filter(args, p)
     rep_base, base_config, base_time = _run_contour(args, p)

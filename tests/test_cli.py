@@ -311,6 +311,29 @@ def test_zero_krylov_tol_exits_1_with_one_line(matrices, capsys, verb):
     assert captured.err == f"eigenspan {verb}: shifted-solve tol must be > 0, got 0.0\n"
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--krylov-tol", "0"], "shifted-solve tol must be > 0, got 0.0"),
+        (["--quad-nodes", "15"], "node count must be even, got 15"),
+    ],
+    ids=["krylov-tol", "quad-nodes"],
+)
+def test_bench_rejects_baseline_inputs_before_the_filter_solve(
+    matrices, capsys, monkeypatch, option, message
+):
+    def filter_solve(*args, **kwargs):
+        raise AssertionError("the filter solve ran")
+
+    monkeypatch.setattr(eigenspan.cli, "run_cjssrr", filter_solve)
+    rc = main(["bench", "--matrix-path", matrices["diag200"], "--a", "-0.0503", "--b", "0.0503"]
+              + option)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"eigenspan bench: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # bench
 

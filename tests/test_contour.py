@@ -16,7 +16,7 @@ from eigenspan import (
     trapezoid_rule,
 )
 
-from helpers import random_symmetric
+from helpers import laplacian_1d, random_symmetric
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +166,81 @@ def test_shifted_solve_counts_applications(rng):
     b = rng.standard_normal((40, 2))
     _, stats = shifted_krylov_solve(a, 0.1 + 0.4j, b)
     assert stats.mv_count >= stats.iterations
+
+
+def _cocg_one_column(a, z, rhs, tol, maxit):
+    """One-column COCG, the loop the blocked solve replaced: the reference."""
+    bnorm = np.linalg.norm(rhs)
+    if bnorm == 0.0:
+        return np.zeros(rhs.shape, dtype=np.complex128), 0, 0.0, True, 0
+    x = np.zeros(rhs.shape, dtype=np.complex128)
+    r = rhs.astype(np.complex128)
+    ar = z * r - a._csr @ r
+    mvs = 1
+    rar = r @ ar
+    p, ap = r.copy(), ar.copy()
+    iters, relres, converged = 0, 1.0, False
+    for iters in range(1, maxit + 1):
+        denom = ap @ ap
+        if denom == 0.0 or rar == 0.0:
+            break
+        alpha = rar / denom
+        x += alpha * p
+        r -= alpha * ap
+        relres = np.linalg.norm(r) / bnorm
+        if relres <= tol:
+            converged = True
+            break
+        ar = z * r - a._csr @ r
+        mvs += 1
+        rar_next = r @ ar
+        beta = rar_next / rar
+        rar = rar_next
+        p = r + beta * p
+        ap = ar + beta * ap
+    return x, iters, relres, converged, mvs
+
+
+class _SpyCSR:
+    """Counts the columns pushed through the wrapped CSR matrix."""
+
+    def __init__(self, csr):
+        self.csr = csr
+        self.columns = 0
+
+    def __matmul__(self, x):
+        self.columns += 1 if np.ndim(x) == 1 else x.shape[1]
+        return self.csr @ x
+
+
+def test_blocked_solve_matches_one_column_cocg_per_column(rng):
+    n = 120
+    a = laplacian_1d(n)
+    eigvec = np.sin(3 * np.pi * np.arange(1, n + 1) / (n + 1))
+    b = rng.standard_normal((n, 6))
+    b[:, 2] = 0.0  # no work, no matrix application
+    b[:, 3] = eigvec  # one step: (z I - A) v = (z - lambda) v
+    # Column 4's shift sits inside the spectrum [0, 4] next to the real axis:
+    # it needs more than maxit steps, every other nonzero column fewer.
+    shifts = np.array([-1.0 + 0.5j, 4.5 + 0.7j, 1.0 + 1.0j, 2.0 + 0.5j, 2.0 + 0.01j, 5.0 + 1.0j])
+    tol, maxit = 1e-12, 80
+    spy = _SpyCSR(a._csr)
+    a._csr = spy
+    x, stats = shifted_krylov_solve(a, shifts, b, tol=tol, maxit=maxit)
+    a._csr = spy.csr
+
+    assert len(stats) == 6
+    assert spy.columns == sum(s.mv_count for s in stats)
+    for col, z in enumerate(shifts):
+        xc, iters, relres, converged, mvs = _cocg_one_column(a, z, b[:, col], tol, maxit)
+        got = stats[col]
+        assert (got.iterations, got.converged, got.mv_count) == (iters, converged, mvs), col
+        assert got.final_relres == pytest.approx(relres, rel=1e-6, abs=1e-15)
+        assert np.linalg.norm(x[:, col] - xc) <= 1e-12 * max(np.linalg.norm(xc), 1e-300), col
+    assert stats[2].iterations == 0 and stats[2].mv_count == 0 and np.all(x[:, 2] == 0)
+    assert stats[3].iterations == 1 and stats[3].converged
+    assert stats[4].iterations == maxit and not stats[4].converged
+    assert sum(s.converged for s in stats) == 5
 
 
 # ---------------------------------------------------------------------------
