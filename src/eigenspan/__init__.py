@@ -33,6 +33,7 @@ from .diagnostics import (
     kernel_value,
     markov_constants,
     probe_csv,
+    theoretical_degree_bound,
 )
 from .engine import (
     RitzSet,
@@ -58,7 +59,6 @@ from .estimators import (
     estimate_count,
     recommended_block_size,
     select_degree,
-    theoretical_degree_bound,
 )
 from .filters import (
     FilterSpec,

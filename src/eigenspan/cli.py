@@ -230,11 +230,15 @@ def _prepare(args):
     ``n_ev_tilde`` carries a +1 head-room term meant for sizing the search
     space, so the block size uses it as-is while the convergence target
     uses the plain trace mean (``n_ev_tilde - 1``), the unbiased estimate of
-    the actual count.
+    the actual count.  The auto block size is capped at n, the widest start
+    block the solvers take.
     """
     a, tr, iv, est, config = _count(args)
     n_ev_target = max(1, int(round(est.n_ev_tilde - 1.0)))
-    ell = recommended_block_size(est.n_ev_tilde, args.m) if args.ell == "auto" else args.ell
+    if args.ell == "auto":
+        ell = min(recommended_block_size(est.n_ev_tilde, args.m), a.n)
+    else:
+        ell = args.ell
     config.update(
         m=args.m, ell=int(ell), tol=args.tol, max_restarts=args.max_restarts,
         n_ev_target=int(n_ev_target),

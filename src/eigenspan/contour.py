@@ -7,9 +7,10 @@ and the conjugate contributions are folded in as 2 Re(...).  All q/2 * ell
 shifted systems of a restart, one (node, column of V) pair per column, run
 as one blocked COCG iteration with one shift per column; each column keeps
 its own stopping rule and leaves the block when it stops, so every block
-matrix application multiplies running columns only.  Each node's solution
-is added into all m moments at once, through one (n, m, ell) accumulator
-returned as the (n, m * ell) block [S_0 | ... | S_{m-1}].  The restart /
+matrix application multiplies running columns only and a column is billed
+one application per iteration.  The moments are one contraction of the
+(m, q/2) coefficients w_j z_j^k with the solutions, returned as the
+(n, m * ell) block [S_0 | ... | S_{m-1}].  The restart /
 Rayleigh-Ritz driver (``engine.restart_loop``) is shared with the
 polynomial-filter solver, so the two methods differ only in how the moment
 blocks are built; the shifted solve's per-column ``mv_count`` is the one
@@ -143,13 +144,14 @@ class _Running:
 def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000):
     """Solve (z_c I - A) x_c = b_c for every column c of B, with Im(z_c) != 0.
 
-    B is an (n, k) block.  z is one complex shift for every column, or an
-    array of k shifts, one per column.  Each column runs the
+    B is an (n, k) block and z holds k complex shifts, one per column; a
+    single shift is used for every column.  Each column runs the
     conjugate-orthogonal short-recurrence iteration (COCG) for the
     complex-symmetric operator z_c I - A, with bilinear (unconjugated)
     products.  All running columns advance together, one block matrix
     application per step, and a column leaves the block as soon as it
-    stops, so only running columns are multiplied.  A column stops at
+    stops, so only running columns are multiplied: a column is billed one
+    matrix application per iteration.  A column stops at
     relative residual <= tol (tol > 0), at a vanishing bilinear form, or
     after maxit iterations; the last two are reported through
     ``converged`` rather than raised, so a surrounding solve can continue
@@ -157,11 +159,9 @@ def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000):
 
     Returns
     -------
-    (x, stats) : complex (n, k) ndarray, and
-        for a scalar z, one ShiftedSolveStats for the block
-        (``iterations`` the maximum over columns, ``final_relres`` the
-        worst column, ``mv_count`` the total); for one shift per column, a
-        list of k ShiftedSolveStats, one per column.
+    (x, stats) : complex (n, k) ndarray, and a list of k
+        ShiftedSolveStats, one per column (``ShiftedSolveStats.combine``
+        merges them).
     """
     b = np.asarray(b)
     n, k = b.shape
@@ -180,10 +180,13 @@ def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000):
 
     bnorm = np.linalg.norm(b, axis=0)
     cols = np.flatnonzero(bnorm > 0.0)
+    r = b[:, cols].astype(np.complex128, order="C")
+    # p = Ap = 0 and rar = 1 make the first step's beta * p vanish, so every
+    # step starts with its one product.
     w = _Running(
-        cols=cols, bnorm=bnorm[cols], z=shifts[cols],
-        x=np.zeros((n, cols.size), dtype=np.complex128),
-        r=b[:, cols].astype(np.complex128, order="C"), relres=np.ones(cols.size),
+        cols=cols, bnorm=bnorm[cols], z=shifts[cols], x=np.zeros_like(r), r=r,
+        relres=np.ones(cols.size), p=np.zeros_like(r), ap=np.zeros_like(r),
+        rar=np.ones(cols.size, dtype=np.complex128),
     )
 
     def shifted_product():
@@ -201,13 +204,17 @@ def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000):
         converged[stopped] = flag
         w.keep(~mask)
 
-    ar = shifted_product()
-    w.rar = _coldot(w.r, ar)
-    w.p = w.r.copy()
-    w.ap = ar
     it = 0
     while w.cols.size and it < maxit:
         it += 1
+        ar = shifted_product()
+        rar = _coldot(w.r, ar)
+        beta = rar / w.rar
+        w.rar = rar
+        w.p *= beta
+        w.p += w.r
+        w.ap *= beta
+        w.ap += ar
         denom = _coldot(w.ap, w.ap)
         vanished = (denom == 0.0) | (w.rar == 0.0)
         if vanished.any():  # the bilinear form vanished: keep what we have
@@ -222,24 +229,12 @@ def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000):
         done = w.relres <= tol
         if done.any():
             retire(done, it, True)
-            if not w.cols.size:
-                break
-        ar = shifted_product()
-        rar = _coldot(w.r, ar)
-        beta = rar / w.rar
-        w.rar = rar
-        w.p *= beta
-        w.p += w.r
-        w.ap *= beta
-        w.ap += ar
     retire(np.ones(w.cols.size, dtype=bool), it, False)  # maxit reached
 
-    per_column = [
+    return x, [
         ShiftedSolveStats(int(c), int(i), float(r), bool(f))
         for c, i, r, f in zip(mv, iters, relres, converged)
     ]
-    stats = ShiftedSolveStats.combine(per_column) if np.ndim(z) == 0 else per_column
-    return x, stats
 
 
 def run_baseline(
@@ -257,20 +252,22 @@ def run_baseline(
 ):
     """Restarted contour-moment solver, reported like the filter solver.
 
-    Per restart: one blocked shifted solve for the q/2 upper-half nodes
-    times the ell columns of V (the conjugate nodes contribute the
-    conjugated solutions for free), moment
-    assembly S_k = sum_j 2 Re(w_j z_j^k X_j), then the shared
-    orthonormalize / project / convergence-test / restart path.
-    ``mv_exact`` counts every complex matrix application at face value plus
-    the projection's real ones.
+    Per restart: one shifted solve with one shift per column for the q/2
+    upper-half nodes times the ell columns of V (the conjugate nodes
+    contribute the conjugated solutions for free), the moments
+    S_k = sum_j 2 Re(w_j z_j^k X_j) as one contraction over the nodes, then
+    the shared orthonormalize / project / convergence-test / restart path.
+    ``shift_stats`` holds one entry per restart and node, its columns'
+    stats combined.  ``mv_exact`` counts every complex matrix application
+    at face value (one per iteration of each column) plus the projection's
+    real ones.
     """
     rule = trapezoid_rule(iv, q)
     n, ell_v = np.shape(v0)
     if ell_v != ell:
         raise ValueError(f"V0 has {ell_v} columns, expected ell = {ell}")
     nodes = rule.nodes[rule.upper_half]
-    weights = rule.weights[rule.upper_half]
+    coeffs = rule.weights[rule.upper_half] * nodes ** np.arange(m)[:, None]  # c_kj = w_j z_j^k
     shift_log = []
 
     def build_block(v, restart, counter):
@@ -278,18 +275,11 @@ def run_baseline(
         x, col_stats = shifted_krylov_solve(
             a, np.repeat(nodes, ell), np.tile(v, nodes.size), tol=krylov_tol
         )
-        s = np.zeros((n, m, ell))
-        for j, (zj, wj) in enumerate(zip(nodes, weights)):
+        for j, zj in enumerate(nodes):
             stats = ShiftedSolveStats.combine(col_stats[j * ell : (j + 1) * ell])
             counter.add(stats.mv_count)
             shift_log.append({"restart": restart, "node": complex(zj), "stats": stats})
-            xj = x[:, j * ell : (j + 1) * ell]
-            # c_k = w_j z_j^k for all k, formed in real arithmetic: numpy's
-            # complex array product rounds differently from its scalar one.
-            zk = zj ** np.arange(m)
-            c_re = wj.real * zk.real - wj.imag * zk.imag
-            c_im = wj.real * zk.imag + wj.imag * zk.real
-            s += 2.0 * (c_re[:, None] * xj.real[:, None] - c_im[:, None] * xj.imag[:, None])
+        s = 2.0 * np.einsum("kj,njc->nkc", coeffs, x.reshape(n, nodes.size, ell)).real
         return s.reshape(n, m * ell)
 
     rep = restart_loop(

@@ -164,7 +164,7 @@ def restart_loop(
     tr : SpectralTransform
     iv : TargetInterval
     v0 : ndarray, shape (n, ell)
-        Start block.
+        Start block, 1 <= ell <= n.
     build_block : callable
         ``build_block(v, restart, counter)`` returns the stacked moment
         block [S_0 | ... | S_{m-1}] of shape (n, m * ell) for the start
@@ -186,9 +186,11 @@ def restart_loop(
     if not tol > 0:
         raise ValueError(f"need tol > 0, got {tol}")
     v = np.asarray(v0, dtype=np.float64)
-    ell = v.shape[1]
+    n, ell = v.shape
     if ell < 1:
         raise ValueError("the start block has no columns")
+    if ell > n:
+        raise ValueError(f"the start block has {ell} columns, more than the matrix's {n} rows")
     counter = MVCounter()
     norm_a = tr.operator_norm
     degraded = []

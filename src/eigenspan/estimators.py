@@ -5,8 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import cheb_t
-from .errors import BoundUndefinedError
 from .filters import build_moment_block, make_filter_spec
 
 PI2 = math.pi**2
@@ -68,61 +66,6 @@ def select_degree(width_t, m, d_factor=1.0, k_factor=10.0):
         d_factor=float(d_factor),
         k_factor=float(k_factor),
     )
-
-
-def theoretical_degree_bound(iv, m, n_ev, ell, zeta=1.0):
-    """Sufficient expansion degree from the worst-case convergence analysis.
-
-    Assumes n_ev eigenvalues spread uniformly over the mapped interval, so
-    the boundary gaps shrink to width / n_ev.  Returned as a real number:
-    any integer degree above it satisfies the sufficient condition.  This
-    is a diagnostic; it is far too pessimistic to drive the solver (use
-    ``select_degree`` for that).
-
-    For a single basis polynomial (m == 1) the condition is
-
-        d + 2 > pi^2 / delta^(4/3) * ((1 + zeta) / zeta)^(1/3),
-
-    with delta = width / n_ev and zeta the contraction-safety ratio.  For
-    m >= 2 the max-form rule with the standard safety ratio baked in
-    (zeta = 1, damping loss bounded by 1/3) is evaluated:
-
-        d + 2 > max{ pi^2 n_ev^(4/3) / w^(4/3) * max(12, 3 tau)^(1/3),
-                     pi^2 (m - 1)^2 / w * max(12, 12 tau / 5) },
-
-    where tau is the Chebyshev growth ratio of the uniform model.
-
-    Raises
-    ------
-    BoundUndefinedError
-        If m >= 2 and n_ev - 1 - ell <= 0: the uniform model then has no
-        gap separating wanted from unwanted eigenvalues.
-    """
-    if m < 1 or n_ev < 1 or ell < 1:
-        raise ValueError("m, n_ev and ell must all be >= 1")
-    if zeta <= 0.0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
-    w = iv.width_t
-
-    if m == 1:
-        delta = w / n_ev
-        rhs = PI2 / delta ** (4.0 / 3.0) * ((1.0 + zeta) / zeta) ** (1.0 / 3.0)
-        return rhs - 2.0
-
-    if n_ev - 1 - ell <= 0:
-        raise BoundUndefinedError(
-            f"uniform model needs n_ev - 1 - ell > 0, got n_ev = {n_ev}, ell = {ell}"
-        )
-    deg = m - 1
-    tau = cheb_t(deg, (n_ev + 1 + ell) / (n_ev - 1 - ell)) / cheb_t(
-        deg, (n_ev - 1 + ell) / (n_ev - 1 - ell)
-    )
-    cubic = (
-        PI2 * n_ev ** (4.0 / 3.0) / w ** (4.0 / 3.0)
-        * max(12.0, 3.0 * tau) ** (1.0 / 3.0)
-    )
-    linear = PI2 * deg**2 / w * max(12.0, 12.0 * tau / 5.0)
-    return max(cubic, linear) - 2.0
 
 
 @dataclass(frozen=True)

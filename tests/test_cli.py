@@ -46,7 +46,9 @@ def matrices(tmp_path_factory):
     save_matrix_market(SparseSymmetric.from_dense(np.diag(DIAG_EV)), diag)
     lap = root / "lap1000.mtx"
     save_matrix_market(laplacian_1d(1000), lap)
-    return {"diag200": str(diag), "lap1000": str(lap)}
+    small = root / "lap12.mtx"
+    save_matrix_market(laplacian_1d(12), small)
+    return {"diag200": str(diag), "lap1000": str(lap), "lap12": str(small)}
 
 
 def _run_json(argv, path):
@@ -139,6 +141,32 @@ def test_nonpositive_sizes_exit_1_with_one_line(matrices, capsys, flag):
     assert rc == 1
     assert len(err.splitlines()) == 1
     assert err.startswith("eigenspan solve: ")
+
+
+@pytest.mark.parametrize("verb", ["solve", "baseline"])
+def test_ell_above_n_exits_1_with_one_line(matrices, capsys, verb):
+    rc = main([verb, "--matrix-path", matrices["lap12"], "--a", "1.9", "--b", "2.1",
+               "--ell", "15", "--tol", "1e-300"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"eigenspan {verb}: the start block has 15 columns, more than the matrix's 12 rows\n"
+    )
+
+
+@pytest.mark.parametrize("verb", ["solve", "baseline"])
+def test_auto_ell_is_capped_at_n(matrices, tmp_path, verb):
+    # All 12 eigenvalues lie inside: the m = 1 rule ceil(1.5 * n_ev_tilde) asks for 19.
+    rc, report = _run_json(
+        [verb, "--matrix-path", matrices["lap12"], "--spectral-bounds", "0,4",
+         "--a", "0.01", "--b", "3.99", "--m", "1"],
+        tmp_path / "report.json",
+    )
+    assert 1.5 * report["count_estimate"]["n_ev_tilde"] > 12
+    assert report["config_echo"]["ell"] == 12
+    assert rc == 0
+    assert len(report["ritz"]) == 12
 
 
 @pytest.mark.parametrize("ell", ["0", "-1"])

@@ -111,9 +111,11 @@ def test_shifted_solve_identity_one_iteration():
     b = np.random.default_rng(0).standard_normal((8, 3))
     x, stats = shifted_krylov_solve(a, 2.0 + 1.0j, b)
     np.testing.assert_allclose(x, b / (1.0 + 1.0j), atol=1e-14)
-    assert stats.iterations == 1
-    assert stats.converged
-    assert stats.final_relres <= 1e-12
+    assert len(stats) == 3
+    for col in stats:
+        assert col.iterations == 1
+        assert col.converged
+        assert col.final_relres <= 1e-12
 
 
 def test_shifted_solve_matches_dense_solve(rng):
@@ -124,8 +126,8 @@ def test_shifted_solve_matches_dense_solve(rng):
     tol = 1e-12
     x, stats = shifted_krylov_solve(a, z, b, tol=tol)
     reference = np.linalg.solve(z * np.eye(100) - dense, b)
-    assert stats.converged
-    assert stats.final_relres <= tol
+    assert all(col.converged for col in stats)
+    assert max(col.final_relres for col in stats) <= tol
     assert np.abs(x - reference).max() <= 10 * tol * np.abs(reference).max()
 
 
@@ -134,8 +136,8 @@ def test_shifted_solve_interior_shift_is_harder(rng):
     # indefinite and costs strictly more iterations than an edge shift.
     a = SparseSymmetric.from_dense(np.diag(np.linspace(-1, 1, 200)))
     b = rng.standard_normal((200, 1))
-    _, interior = shifted_krylov_solve(a, 0.0 + 0.1j, b, tol=1e-12)
-    _, edge = shifted_krylov_solve(a, 1.0 + 0.1j, b, tol=1e-12)
+    _, (interior,) = shifted_krylov_solve(a, 0.0 + 0.1j, b, tol=1e-12)
+    _, (edge,) = shifted_krylov_solve(a, 1.0 + 0.1j, b, tol=1e-12)
     assert interior.converged and edge.converged
     assert interior.iterations > edge.iterations
 
@@ -143,9 +145,10 @@ def test_shifted_solve_interior_shift_is_harder(rng):
 def test_shifted_solve_reports_nonconvergence_at_maxit(rng):
     a = SparseSymmetric.from_dense(np.diag(np.linspace(-1, 1, 200)))
     b = rng.standard_normal((200, 1))
-    _, stats = shifted_krylov_solve(a, 0.0 + 0.001j, b, tol=1e-14, maxit=5)
+    _, (stats,) = shifted_krylov_solve(a, 0.0 + 0.001j, b, tol=1e-14, maxit=5)
     assert not stats.converged
     assert stats.iterations == 5
+    assert stats.mv_count == 5
     assert stats.final_relres > 1e-14
 
 
@@ -162,14 +165,31 @@ def test_shifted_solve_rejects_nonpositive_tolerance():
 
 
 def test_shifted_solve_counts_applications(rng):
+    # A column is billed one matrix application per iteration.
     a = SparseSymmetric.from_dense(np.diag(np.linspace(-1, 1, 40)))
     b = rng.standard_normal((40, 2))
     _, stats = shifted_krylov_solve(a, 0.1 + 0.4j, b)
-    assert stats.mv_count >= stats.iterations
+    for col in stats:
+        assert col.iterations > 0
+        assert col.mv_count == col.iterations
+
+
+def test_scalar_shift_equals_one_equal_shift_per_column(rng):
+    a = laplacian_1d(60)
+    b = rng.standard_normal((60, 3))
+    z = 1.0 + 0.3j
+    x_scalar, stats_scalar = shifted_krylov_solve(a, z, b)
+    x_cols, stats_cols = shifted_krylov_solve(a, np.full(3, z), b)
+    assert np.array_equal(x_scalar, x_cols)
+    assert stats_scalar == stats_cols
 
 
 def _cocg_one_column(a, z, rhs, tol, maxit):
-    """One-column COCG, the loop the blocked solve replaced: the reference."""
+    """One-column COCG in its textbook form: the reference.
+
+    The next step's product is formed only when another step may follow, so
+    a column is billed one product per iteration.
+    """
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
         return np.zeros(rhs.shape, dtype=np.complex128), 0, 0.0, True, 0
@@ -190,6 +210,8 @@ def _cocg_one_column(a, z, rhs, tol, maxit):
         relres = np.linalg.norm(r) / bnorm
         if relres <= tol:
             converged = True
+            break
+        if iters == maxit:
             break
         ar = z * r - a._csr @ r
         mvs += 1
@@ -235,11 +257,13 @@ def test_blocked_solve_matches_one_column_cocg_per_column(rng):
         xc, iters, relres, converged, mvs = _cocg_one_column(a, z, b[:, col], tol, maxit)
         got = stats[col]
         assert (got.iterations, got.converged, got.mv_count) == (iters, converged, mvs), col
+        assert got.mv_count == got.iterations, col
         assert got.final_relres == pytest.approx(relres, rel=1e-6, abs=1e-15)
         assert np.linalg.norm(x[:, col] - xc) <= 1e-12 * max(np.linalg.norm(xc), 1e-300), col
     assert stats[2].iterations == 0 and stats[2].mv_count == 0 and np.all(x[:, 2] == 0)
     assert stats[3].iterations == 1 and stats[3].converged
     assert stats[4].iterations == maxit and not stats[4].converged
+    assert stats[4].mv_count == maxit
     assert sum(s.converged for s in stats) == 5
 
 
@@ -255,7 +279,7 @@ def test_moment_assembly_half_equals_full(diag_problem, rule):
     half = np.zeros((200, 8))
     for j, (z, w) in enumerate(zip(rule.nodes, rule.weights)):
         x, stats = shifted_krylov_solve(a, z, v0, tol=1e-13)
-        assert stats.converged
+        assert all(col.converged for col in stats)
         for k in range(2):
             coeff = w * z**k
             full[:, 4 * k : 4 * (k + 1)] += coeff * x

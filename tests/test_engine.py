@@ -12,6 +12,7 @@ from eigenspan import (
     make_interval,
     mv_accounting,
     rayleigh_ritz,
+    run_baseline,
     run_cjssrr,
 )
 from helpers import diag_matrix, laplacian_1d, laplacian_eigs, random_symmetric
@@ -319,6 +320,21 @@ def test_solver_rejects_no_restarts_and_empty_start_block(rng, cols, max_restart
             a, tr, iv, spec, rng.standard_normal((30, cols)),
             max_restarts=max_restarts, n_ev_target=5,
         )
+
+
+@pytest.mark.parametrize("method", ["filter", "contour"])
+def test_solvers_reject_a_start_block_wider_than_the_matrix(rng, method):
+    # The restart block, QR of the moment block's first ell columns, would have only n.
+    a = laplacian_1d(12)
+    tr = exact_transform(0.0, 4.0)
+    iv = make_interval(tr, 1.9, 2.1)
+    v0 = rng.standard_normal((12, 15))
+    message = "start block has 15 columns, more than the matrix's 12 rows"
+    with pytest.raises(ValueError, match=message):
+        if method == "filter":
+            run_cjssrr(a, tr, iv, make_filter_spec(iv, d=20, m=2), v0, n_ev_target=1)
+        else:
+            run_baseline(a, tr, iv, 2, 15, v0, n_ev_target=1)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8])
