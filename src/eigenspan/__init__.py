@@ -63,6 +63,7 @@ from .estimators import (
 from .filters import (
     FilterSpec,
     build_moment_block,
+    chebyshev_moments,
     filter_scalar,
     jackson_factors,
     make_filter_spec,

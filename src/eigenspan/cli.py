@@ -279,6 +279,7 @@ def _count_estimate_json(est):
         "per_sample": [float(x) for x in est.per_sample],
         "seed": int(est.seed),
         "d": int(est.d),
+        "mv_exact": int(est.mv_exact),
     }
 
 

@@ -15,8 +15,10 @@ uses only the three-term recurrence, d matrix applications per start vector.
 The integrand is a trigonometric polynomial of degree d + k, so composite
 Gauss-Legendre on panels short against its top frequency computes the
 coefficients to roundoff.  This module holds the package's one quadrature
-rule (``panel_rule``), its one series evaluator (``cosine_series``) and its
-one basis evaluator (``basis_values``).
+rule (``panel_rule``), its one series evaluator (``cosine_series``), its
+one basis evaluator (``basis_values``) and its one recurrence step
+(``_chebyshev_step``), which ``build_moment_block`` and
+``chebyshev_moments`` share.
 """
 
 import math
@@ -186,6 +188,13 @@ class FilterSpec:
     rho: np.ndarray
     coeffs: np.ndarray
 
+    @property
+    def weights(self):
+        """Series weights rho_j * c_{k,j}, shape (m, d + 1); column 0 is halved (c_{k,0}/2)."""
+        w = self.rho * self.coeffs
+        w[:, 0] *= 0.5  # halving is exact
+        return w
+
 
 def make_filter_spec(iv, d, m, basis="chebyshev"):
     """Build the FilterSpec for m moment blocks at expansion degree d."""
@@ -246,14 +255,10 @@ def build_moment_block(a_t, v, spec, counter=None):
         part of the spectrum.  Checked once per batch, on the batch's last
         iterate; names the batch's first step over the limit.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 2:
-        raise ValueError(f"start block must be 2-D, got shape {v.shape}")
+    v = _start_block(v)
     n, ell = v.shape
     m, d = spec.m, spec.d
-    w = spec.rho * spec.coeffs  # (m, d+1): rho_j * c_{k, j}
-    w[:, 0] *= 0.5  # the c_{k,0}/2 term; halving is exact
-    scale, shift = a_t.transform.scale, a_t.transform.shift
+    w = spec.weights
     limit = GROWTH_LIMIT * np.linalg.norm(v)
 
     batch = max(3, min(BATCH_MAX, BATCH_BYTES // max(1, v.nbytes)))
@@ -265,28 +270,104 @@ def build_moment_block(a_t, v, spec, counter=None):
             if j == 0:
                 row[...] = v
             else:
-                # T_1 = A_t T_0 and T_j = 2 A_t T_{j-1} - T_{j-2}, with
-                # A_t x = scale * (A x) + shift * x; folding the 2 into scale
-                # and shift is exact.
-                c = 1.0 if j == 1 else 2.0
-                t = ring[(j - 1) % batch]
-                y = matvec(a_t.a, t, counter)
-                y *= c * scale
-                np.multiply(t, c * shift, out=row)
-                row += y
-                del y  # free the product before a batch GEMM allocates its result
-                if j > 1:
-                    row -= ring[(j - 2) % batch]
+                t2 = ring[(j - 2) % batch] if j > 1 else None
+                _chebyshev_step(a_t, ring[(j - 1) % batch], t2, row, counter)
             if j % batch == batch - 1 or j == d:
                 j0 = j - j % batch
                 rows = ring[: j - j0 + 1].reshape(j - j0 + 1, n * ell)
                 s += w[:, j0 : j + 1] @ rows
                 if not np.linalg.norm(row) <= limit:
                     step = j0 + int(np.argmin(np.linalg.norm(rows, axis=1) <= limit))
-                    raise RecurrenceDivergenceError(
-                        f"recurrence diverged at step {step} of {d}: the iterate "
-                        f"outgrew {GROWTH_LIMIT:g} times the start block, so the "
-                        "spectral transform does not enclose the spectrum",
-                        step,
-                    )
+                    raise _divergence(step, d)
     return s.reshape(m, n, ell).transpose(1, 0, 2).reshape(n, m * ell)
+
+
+def chebyshev_moments(a_t, v, d, counter=None):
+    """Chebyshev moments mu_{j,i} = v_i^T T_j(A_t) v_i, j = 0..d, of each start column.
+
+    Runs the three-term recurrence only to K = ceil(d / 2) and gets two
+    moments per product from the doubling identities of the kernel
+    polynomial method (Weisse, Wellein, Alvermann & Fehske, Rev. Mod. Phys.
+    78, 275 (2006), Sec. II.D):
+
+        mu_{2k}     = 2 <T_k v, T_k v>     - mu_0,
+        mu_{2k - 1} = 2 <T_k v, T_{k-1} v> - mu_1,
+
+    with mu_0 = <v, v> and mu_1 = <T_1 v, v>.  Iterates rotate through
+    three (n, ell) blocks, and no filtered block is accumulated.
+
+    Parameters
+    ----------
+    a_t : MappedOperator
+    v : ndarray, shape (n, ell)
+    d : int
+        Highest moment, d >= 0.
+    counter : MVCounter, optional
+        Charged the K * ell products.
+
+    Returns
+    -------
+    ndarray, shape (d + 1, ell)
+
+    Raises
+    ------
+    RecurrenceDivergenceError
+        If ||T_k(A_t) V||_F, the column sum of <T_k v, T_k v>, exceeds
+        GROWTH_LIMIT * ||V||_F or is not finite; checked at every step
+        k = 1..K, so the step named is the first over the limit.
+    """
+    v = _start_block(v)
+    if d < 0:
+        raise ValueError(f"degree must be >= 0, got {d}")
+    half = (d + 1) // 2
+    limit = GROWTH_LIMIT * np.linalg.norm(v)
+    ring = np.empty((3,) + v.shape)
+    ring[0] = v
+    mu = np.empty((2 * half + 1, v.shape[1]))
+    mu[0] = np.einsum("ij,ij->j", v, v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, half + 1):
+            t, prev = ring[k % 3], ring[(k - 1) % 3]
+            t2 = ring[(k - 2) % 3] if k > 1 else None
+            _chebyshev_step(a_t, prev, t2, t, counter)
+            square = np.einsum("ij,ij->j", t, t)
+            if not np.sqrt(square.sum()) <= limit:
+                raise _divergence(k, d)
+            cross = np.einsum("ij,ij->j", t, prev)
+            mu[2 * k] = 2.0 * square - mu[0]
+            mu[2 * k - 1] = cross if k == 1 else 2.0 * cross - mu[1]
+    return mu[: d + 1]
+
+
+def _start_block(v):
+    """The start block as a 2-D float64 array."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 2:
+        raise ValueError(f"start block must be 2-D, got shape {v.shape}")
+    return v
+
+
+def _chebyshev_step(a_t, t1, t2, out, counter):
+    """One recurrence step into ``out``: T_1 = A_t T_0, or T_j = 2 A_t T_{j-1} - T_{j-2}.
+
+    ``t1`` is the last iterate and ``t2`` the one before it (None at the
+    first step).  A_t x = scale * (A x) + shift * x; folding the 2 into
+    scale and shift is exact.  The package's one application of A_t.
+    """
+    c = 1.0 if t2 is None else 2.0
+    y = matvec(a_t.a, t1, counter)
+    y *= c * a_t.transform.scale
+    np.multiply(t1, c * a_t.transform.shift, out=out)
+    out += y
+    if t2 is not None:
+        out -= t2
+
+
+def _divergence(step, d):
+    """The error for an iterate that outgrew GROWTH_LIMIT times the start block at ``step``."""
+    return RecurrenceDivergenceError(
+        f"recurrence diverged at step {step} of {d}: the iterate "
+        f"outgrew {GROWTH_LIMIT:g} times the start block, so the "
+        "spectral transform does not enclose the spectrum",
+        step,
+    )

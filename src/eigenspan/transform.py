@@ -85,7 +85,10 @@ class TargetInterval:
 
 @dataclass(frozen=True)
 class MappedOperator:
-    """l(A) = scale * A + shift * I; only ``build_moment_block`` applies it."""
+    """l(A) = scale * A + shift * I; only the recurrence step in ``filters`` applies it.
+
+    ``build_moment_block`` and ``chebyshev_moments`` both run that step.
+    """
 
     a: SparseSymmetric
     transform: SpectralTransform

@@ -266,6 +266,43 @@ def test_count_with_bounds_above_lambda_min_exits_1_naming_the_step(tmp_path, ca
     assert 2 <= int(found.group(1)) <= 1384
 
 
+class _ColumnSpy:
+    """Counts the block columns pushed through a wrapped CSR matrix."""
+
+    def __init__(self, csr):
+        self.csr = csr
+        self.columns = 0
+
+    def __matmul__(self, x):
+        self.columns += 1 if np.ndim(x) == 1 else x.shape[1]
+        return self.csr @ x
+
+    def diagonal(self):
+        return self.csr.diagonal()
+
+
+def test_count_reports_its_mv_bill(matrices, tmp_path, monkeypatch):
+    # Two moments per product: degree 301 needs ceil(301 / 2) = 151 products
+    # per probe.  Explicit bounds keep the Lanczos range estimate out of it.
+    spies = []
+
+    def load_with_spy(path):
+        a = eigenspan.load_matrix_market(path)
+        spies.append(_ColumnSpy(a._csr))
+        a._csr = spies[-1]
+        return a
+
+    monkeypatch.setattr(eigenspan.cli, "load_matrix_market", load_with_spy)
+    rc, report = _run_json(
+        ["count", "--matrix-path", matrices["lap1000"], "--a", "1.9", "--b", "2.1",
+         "--spectral-bounds", "0,4", "--count-degree", "301", "--samples", "7"],
+        tmp_path / "count.json",
+    )
+    assert rc == 0
+    assert report["count_estimate"]["mv_exact"] == 151 * 7
+    assert [spy.columns for spy in spies] == [151 * 7]
+
+
 def test_count_and_solve_share_the_count_step(matrices, tmp_path):
     argv = ["--matrix-path", matrices["diag200"], "--a", "-0.0503", "--b", "0.0503",
             "--count-degree", "300", "--samples", "30", "--seed", "1"]

@@ -1,6 +1,7 @@
 """Degree-selection rules and the stochastic in-interval eigenvalue count."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,17 +9,21 @@ import pytest
 from eigenspan import (
     BoundUndefinedError,
     MappedOperator,
+    RecurrenceDivergenceError,
     SparseSymmetric,
+    build_moment_block,
     estimate_count,
     exact_transform,
     filter_scalar,
     make_filter_spec,
+    make_interval,
     mapped_interval,
     recommended_block_size,
     select_degree,
     theoretical_degree_bound,
 )
-from helpers import diag_matrix, random_spectrum_matrix
+from eigenspan.filters import GROWTH_LIMIT
+from helpers import diag_matrix, laplacian_2d, random_spectrum_matrix
 
 IDENTITY_TRANSFORM = exact_transform(-1.0, 1.0)
 NARROW_WIDTH = 0.100008  # mapped width of a [1.9, 2.1] band in a [-1.696e-3, 3.998] range
@@ -180,6 +185,48 @@ def test_count_estimate_mean_matches_dense_trace(rng):
     )
     standard_error = estimates.std(ddof=1) / math.sqrt(estimates.size)
     assert abs(estimates.mean() - oracle) <= 3.0 * standard_error
+
+
+@pytest.mark.parametrize("d", [300, 1384])
+def test_count_matches_the_moment_block_quadratic_form(d):
+    # The estimate before the doubling identities: v_i^T F_d(A_t) v_i from
+    # the full filtered block of the same sign probes.
+    a = laplacian_2d(44)
+    tr = exact_transform(0.0, 8.0)
+    op = MappedOperator(a, tr)
+    iv = make_interval(tr, 0.5, 0.6)
+    samples, seed = 10, 3
+    est = estimate_count(op, iv, d=d, samples=samples, seed=seed)
+
+    rng = np.random.default_rng(seed)
+    v = rng.integers(0, 2, size=(a.n, samples)).astype(np.float64) * 2.0 - 1.0
+    spec = make_filter_spec(iv, d=d, m=1)
+    reference = np.einsum("ij,ij->j", v, build_moment_block(op, v, spec))
+    np.testing.assert_allclose(est.per_sample, reference, rtol=1e-12, atol=0.0)
+    assert est.mv_exact == math.ceil(d / 2) * samples
+
+
+@pytest.mark.parametrize("outside, d", [(5.0, 2000), (1.5, 60), (1.0005, 1384)])
+def test_count_stops_at_the_first_step_a_missed_eigenvalue_outgrows(outside, d):
+    # A mapped eigenvalue past 1 makes T_k grow like cosh(k arccosh(t)): within
+    # a few steps at t = 5, after about 135 at t = 1.0005.  Every step up to
+    # ceil(d / 2) is checked, so the count names the first k with
+    # ||T_k(D) V||_F > GROWTH_LIMIT * ||V||_F, without a RuntimeWarning.
+    t_diag = np.array([outside, 0.3, -0.7, 0.9, -0.2])
+    op = MappedOperator(diag_matrix(t_diag), IDENTITY_TRANSFORM)
+    samples, seed = 4, 0
+    v = np.random.default_rng(seed).integers(0, 2, size=(5, samples)) * 2.0 - 1.0
+    first = next(
+        k
+        for k in range(1, math.ceil(d / 2) + 1)
+        if np.linalg.norm(np.polynomial.chebyshev.chebval(t_diag, [0] * k + [1])[:, None] * v)
+        > GROWTH_LIMIT * np.linalg.norm(v)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RecurrenceDivergenceError, match=f"step {first} of {d}") as excinfo:
+            estimate_count(op, mapped_interval(-0.2, 0.2), d=d, samples=samples, seed=seed)
+    assert excinfo.value.step == first
 
 
 def test_count_estimate_validation():

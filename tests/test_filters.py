@@ -19,6 +19,7 @@ from eigenspan import (
     RecurrenceDivergenceError,
     exact_transform,
     build_moment_block,
+    chebyshev_moments,
     filter_scalar,
     jackson_factors,
     make_filter_spec,
@@ -330,3 +331,25 @@ def test_divergence_in_mid_batch_names_its_own_step(monkeypatch):
     with pytest.raises(RecurrenceDivergenceError) as excinfo:
         build_moment_block(op, v, spec)
     assert excinfo.value.step == first
+
+
+@pytest.mark.parametrize("ell", [1, 5])
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 300, 301])
+def test_chebyshev_moments_match_dense_eigendecomposition_oracle(rng, d, ell):
+    # A non-trivial transform, so the folded scale and shift are exercised.
+    n = 60
+    eigenvalues = rng.uniform(0.1, 3.9, size=n)
+    dense = random_spectrum_matrix(eigenvalues, rng)
+    tr = exact_transform(0.0, 4.0)
+    op = MappedOperator(SparseSymmetric.from_dense(dense), tr)
+    v = rng.standard_normal((n, ell))
+    counter = MVCounter()
+    mu = chebyshev_moments(op, v, d, counter)
+
+    w, x = np.linalg.eigh(dense)
+    theta = np.arccos(np.clip(tr.scale * w + tr.shift, -1.0, 1.0))
+    weights = (x.T @ v) ** 2  # (n, ell): squared components of each column
+    expected = np.cos(np.outer(np.arange(d + 1), theta)) @ weights
+    assert mu.shape == (d + 1, ell)
+    assert np.all(np.abs(mu - expected) <= 1e-12 * np.sum(v**2, axis=0))
+    assert counter.count == math.ceil(d / 2) * ell
