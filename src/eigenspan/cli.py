@@ -9,6 +9,7 @@ solve finished without reaching the requested tolerance.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
-import jsonschema
+from jsonschema import Draft202012Validator
 
 from .contour import check_node_count, check_shift_tol, run_baseline
 from .engine import run_cjssrr
@@ -38,9 +39,10 @@ from .transform import (
 SCHEMA_VERSION = "1"
 
 
-def _load_schema():
+@functools.cache
+def _report_validator():
     with resources.files("eigenspan").joinpath("report_schema.json").open() as fh:
-        return json.load(fh)
+        return Draft202012Validator(json.load(fh))
 
 
 def _finite_or_none(x):
@@ -172,9 +174,11 @@ def build_parser():
 
 def _resolve_problem(args):
     """Load the matrix, fix the spectral transform, and map the interval."""
+    if args.lanczos_steps < 2:
+        raise ValueError(f"--lanczos-steps must be >= 2, got {args.lanczos_steps}")
     a = load_matrix_market(args.matrix_path)
     if args.spectral_bounds == "auto":
-        steps = max(2, min(args.lanczos_steps, a.n))
+        steps = min(args.lanczos_steps, a.n)
         tr = estimate_spectral_range(a, steps=steps, seed=args.seed)
     else:
         bounds = _float_list(args.spectral_bounds)
@@ -227,12 +231,14 @@ def _count(args):
 def _prepare(args):
     """The count step plus block size, solver config echo and start block V0.
 
-    ``n_ev_tilde`` carries a +1 head-room term meant for sizing the search
-    space, so the block size uses it as-is while the convergence target
-    uses the plain trace mean (``n_ev_tilde - 1``), the unbiased estimate of
-    the actual count.  The auto block size is capped at n, the widest start
-    block the solvers take.
+    The block size uses ``n_ev_tilde`` as-is, with ``estimate_count``'s +1
+    for the damped filter's deficit; the convergence target rounds the plain
+    trace mean ``n_ev_tilde - 1``, which runs low as a count.  The auto
+    block size is capped at n, the widest start block the solvers take.
     """
+    if "quad_nodes" in args:  # the contour baseline runs last; reject its inputs first
+        check_node_count(args.quad_nodes)
+        check_shift_tol(args.krylov_tol)
     a, tr, iv, est, config = _count(args)
     n_ev_target = max(1, int(round(est.n_ev_tilde - 1.0)))
     if args.ell == "auto":
@@ -321,7 +327,7 @@ def _solve_report_json(rep, command, config_echo, tr, est, wall_time):
 
 
 def _emit_json(report, path):
-    jsonschema.validate(report, _load_schema())
+    _report_validator().validate(report)
     _emit_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", path)
 
 
@@ -382,9 +388,6 @@ def cmd_probe(args):
 
 def cmd_bench(args):
     start = time.perf_counter()
-    # The baseline runs last; reject its inputs before the count and filter solve.
-    check_node_count(args.quad_nodes)
-    check_shift_tol(args.krylov_tol)
     p = _prepare(args)
     rep_cj, cj_config, cj_time = _run_filter(args, p)
     rep_base, base_config, base_time = _run_contour(args, p)

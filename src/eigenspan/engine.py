@@ -98,10 +98,8 @@ def mv_accounting(d, m, ell, n, nnz):
         ``per_iter_equivalent``: a model of the filter's non-product dense
         work, m + 1 passes over an n-by-ell block per step, in units of one
         sparse product: (m + 1) * n / nnz * d * ell.  It is a model, not a
-        measurement: ``build_moment_block`` makes four elementwise passes
-        per step whatever m is, and adds the iterates into all m moments
-        with one GEMM per batch.  Solves report neither; they report the
-        applications they counted, ``mv_exact``.
+        measurement.  Solves report neither; they report the applications
+        they counted, ``mv_exact``.
     """
     per_iter = d * ell + m * ell
     equivalent = (m + 1) * n / nnz * d * ell

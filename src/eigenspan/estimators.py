@@ -93,8 +93,9 @@ def estimate_count(a_t, iv, d=2000, samples=30, seed=0):
 
         n_ev_tilde = mean_i( v_i^T F_d(1)(A_t) v_i ) + 1,
 
-    the +1 compensating the damped filter's mass deficit inside the
-    interval.  Deterministic for a fixed seed.
+    the +1 compensating the damped filter's deficit: its weights for
+    eigenvalues near the interval ends are below 1, so the plain trace mean
+    runs low as a count.  Deterministic for a fixed seed.
 
     Each probe's quadratic form is the weighted sum
     sum_j w_j mu_{j,i} of its Chebyshev moments mu_{j,i} = v_i^T T_j(A_t) v_i,

@@ -16,9 +16,9 @@ The integrand is a trigonometric polynomial of degree d + k, so composite
 Gauss-Legendre on panels short against its top frequency computes the
 coefficients to roundoff.  This module holds the package's one quadrature
 rule (``panel_rule``), its one series evaluator (``cosine_series``), its
-one basis evaluator (``basis_values``) and its one recurrence step
-(``_chebyshev_step``), which ``build_moment_block`` and
-``chebyshev_moments`` share.
+one basis evaluator (``basis_values``) and its one Chebyshev recurrence
+(``_recurrence``), which ``build_moment_block`` and ``chebyshev_moments``
+consume.
 """
 
 import math
@@ -44,7 +44,7 @@ ANGLE_CHUNK = 128
 BATCH_BYTES = 2**20
 #: Most iterates per moment-accumulation GEMM.
 BATCH_MAX = 16
-#: Largest ||T_j(A_t) V||_F / ||V||_F that ``build_moment_block`` accepts.
+#: Largest ||T_j(A_t) V||_F / ||V||_F that the recurrence accepts.
 GROWTH_LIMIT = 16.0
 
 
@@ -223,14 +223,11 @@ def filter_scalar(spec, k, t):
 def build_moment_block(a_t, v, spec, counter=None):
     """Apply all m filters to a start block with one shared recurrence.
 
-    Computes S_k = F_d(p_k)(A_t) V for k = 0..m-1 using the three-term
-    Chebyshev recurrence on the mapped operator: exactly d * ell products
-    with the original matrix for an n-by-ell start block, independent of m.
-    Iterate T_j(A_t) V goes into row j % B of one (B, n, ell) ring buffer,
-    where B is what fits in BATCH_BYTES, clipped to [3, BATCH_MAX].  Each
-    time the ring fills, and at j = d, one GEMM adds its rows into all m
-    moments at once: S (m, n * ell) += W[:, j0:j+1] @ rows, with
-    W[k, j] = rho_j * c_{k,j}.
+    Computes S_k = F_d(p_k)(A_t) V for k = 0..m-1 from the iterates
+    T_j(A_t) V, j = 0..d, of one three-term Chebyshev recurrence on the
+    mapped operator: exactly d * ell products with the original matrix for
+    an n-by-ell start block, independent of m.  Each full ring of iterates
+    (see BATCH_BYTES) goes into all m moments with one GEMM.
 
     Parameters
     ----------
@@ -252,34 +249,22 @@ def build_moment_block(a_t, v, spec, counter=None):
         If an iterate's Frobenius norm exceeds GROWTH_LIMIT * ||V||_F or is
         not finite.  For a spectrum inside [-1, 1], |T_j| <= 1 bounds every
         iterate by ||V||_F, so growth means the spectral transform misses
-        part of the spectrum.  Checked once per batch, on the batch's last
-        iterate; names the batch's first step over the limit.
+        part of the spectrum.  Checked on the newest iterate each time the
+        ring fills and at j = d; names the fill's first step over the limit.
     """
-    v = _start_block(v)
-    n, ell = v.shape
-    m, d = spec.m, spec.d
     w = spec.weights
-    limit = GROWTH_LIMIT * np.linalg.norm(v)
+    size = np.size(v)  # n * ell
+    batch = max(3, min(BATCH_MAX, BATCH_BYTES // max(1, 8 * size)))  # float64 iterates
+    s = np.zeros((spec.m, size))
 
-    batch = max(3, min(BATCH_MAX, BATCH_BYTES // max(1, v.nbytes)))
-    ring = np.empty((batch, n, ell))
-    s = np.zeros((m, n * ell))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(d + 1):
-            row = ring[j % batch]
-            if j == 0:
-                row[...] = v
-            else:
-                t2 = ring[(j - 2) % batch] if j > 1 else None
-                _chebyshev_step(a_t, ring[(j - 1) % batch], t2, row, counter)
-            if j % batch == batch - 1 or j == d:
-                j0 = j - j % batch
-                rows = ring[: j - j0 + 1].reshape(j - j0 + 1, n * ell)
-                s += w[:, j0 : j + 1] @ rows
-                if not np.linalg.norm(row) <= limit:
-                    step = j0 + int(np.argmin(np.linalg.norm(rows, axis=1) <= limit))
-                    raise _divergence(step, d)
-    return s.reshape(m, n, ell).transpose(1, 0, 2).reshape(n, m * ell)
+    def add(j, t, prev, fill):
+        nonlocal s
+        if fill is not None:
+            s += w[:, j + 1 - len(fill) : j + 1] @ fill
+
+    _recurrence(a_t, v, spec.d, spec.d, batch, add, counter)
+    n, ell = np.shape(v)
+    return s.reshape(spec.m, n, ell).transpose(1, 0, 2).reshape(n, spec.m * ell)
 
 
 def chebyshev_moments(a_t, v, d, counter=None):
@@ -293,8 +278,8 @@ def chebyshev_moments(a_t, v, d, counter=None):
         mu_{2k}     = 2 <T_k v, T_k v>     - mu_0,
         mu_{2k - 1} = 2 <T_k v, T_{k-1} v> - mu_1,
 
-    with mu_0 = <v, v> and mu_1 = <T_1 v, v>.  Iterates rotate through
-    three (n, ell) blocks, and no filtered block is accumulated.
+    with mu_0 = <v, v> and mu_1 = <T_1 v, v>.  No filtered block is
+    accumulated.
 
     Parameters
     ----------
@@ -312,62 +297,74 @@ def chebyshev_moments(a_t, v, d, counter=None):
     Raises
     ------
     RecurrenceDivergenceError
-        If ||T_k(A_t) V||_F, the column sum of <T_k v, T_k v>, exceeds
-        GROWTH_LIMIT * ||V||_F or is not finite; checked at every step
-        k = 1..K, so the step named is the first over the limit.
+        If ||T_k(A_t) V||_F, k <= K, exceeds GROWTH_LIMIT * ||V||_F or is
+        not finite: checked as in ``build_moment_block``, on a ring of three
+        iterates; the message names the step k "of d".
     """
-    v = _start_block(v)
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
-    half = (d + 1) // 2
-    limit = GROWTH_LIMIT * np.linalg.norm(v)
-    ring = np.empty((3,) + v.shape)
-    ring[0] = v
-    mu = np.empty((2 * half + 1, v.shape[1]))
-    mu[0] = np.einsum("ij,ij->j", v, v)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, half + 1):
-            t, prev = ring[k % 3], ring[(k - 1) % 3]
-            t2 = ring[(k - 2) % 3] if k > 1 else None
-            _chebyshev_step(a_t, prev, t2, t, counter)
-            square = np.einsum("ij,ij->j", t, t)
-            if not np.sqrt(square.sum()) <= limit:
-                raise _divergence(k, d)
-            cross = np.einsum("ij,ij->j", t, prev)
-            mu[2 * k] = 2.0 * square - mu[0]
-            mu[2 * k - 1] = cross if k == 1 else 2.0 * cross - mu[1]
-    return mu[: d + 1]
+    mu = []  # mu[j] for j = 0..2K, appended in order
+
+    def add(k, t, prev, fill):
+        square = np.einsum("ij,ij->j", t, t)
+        if k == 0:
+            mu.append(square)
+            return
+        cross = np.einsum("ij,ij->j", t, prev)
+        mu.append(cross if k == 1 else 2.0 * cross - mu[1])
+        mu.append(2.0 * square - mu[0])
+
+    _recurrence(a_t, v, (d + 1) // 2, d, 3, add, counter)
+    return np.stack(mu)[: d + 1]
 
 
-def _start_block(v):
-    """The start block as a 2-D float64 array."""
+def _recurrence(a_t, v, last, d, length, consume, counter):
+    """Run T_j = T_j(A_t) V for j = 0..last, calling ``consume`` after each step.
+
+    T_1 = A_t T_0 and T_j = 2 A_t T_{j-1} - T_{j-2}, with
+    A_t x = scale * (A x) + shift * x and the 2 folded into scale and shift
+    (exact): the package's one application of A_t.  T_j goes into row
+    j % length of a ring of ``length`` iterates.  ``consume(j, t, prev,
+    fill)`` gets T_j, T_{j-1} (None at j = 0) and, when the ring is full or
+    j = last, the ring's rows so far as a (rows, n * ell) view (else None).
+
+    Growth rule: at each full ring and at j = last the newest iterate is
+    compared with GROWTH_LIMIT * ||V||_F; if it is over (or not finite),
+    the error names the first step of that fill over the limit, "of d".
+    Past [-1, 1], |T_j| = cosh(j arccosh|t|) only grows, so that is the
+    first step over the limit overall.  Floating-point warnings are
+    suppressed only while the steps and ``consume`` run.
+    """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2:
         raise ValueError(f"start block must be 2-D, got shape {v.shape}")
-    return v
+    limit = GROWTH_LIMIT * np.linalg.norm(v)
 
+    def over(row):
+        return not np.linalg.norm(row) <= limit
 
-def _chebyshev_step(a_t, t1, t2, out, counter):
-    """One recurrence step into ``out``: T_1 = A_t T_0, or T_j = 2 A_t T_{j-1} - T_{j-2}.
-
-    ``t1`` is the last iterate and ``t2`` the one before it (None at the
-    first step).  A_t x = scale * (A x) + shift * x; folding the 2 into
-    scale and shift is exact.  The package's one application of A_t.
-    """
-    c = 1.0 if t2 is None else 2.0
-    y = matvec(a_t.a, t1, counter)
-    y *= c * a_t.transform.scale
-    np.multiply(t1, c * a_t.transform.shift, out=out)
-    out += y
-    if t2 is not None:
-        out -= t2
-
-
-def _divergence(step, d):
-    """The error for an iterate that outgrew GROWTH_LIMIT times the start block at ``step``."""
-    return RecurrenceDivergenceError(
-        f"recurrence diverged at step {step} of {d}: the iterate "
-        f"outgrew {GROWTH_LIMIT:g} times the start block, so the "
-        "spectral transform does not enclose the spectrum",
-        step,
-    )
+    ring = np.empty((length,) + v.shape)
+    ring[0] = v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(last + 1):
+            t, prev = ring[j % length], (ring[(j - 1) % length] if j else None)
+            if j:
+                c = 1.0 if j == 1 else 2.0
+                y = matvec(a_t.a, prev, counter)
+                y *= c * a_t.transform.scale
+                np.multiply(prev, c * a_t.transform.shift, out=t)
+                t += y
+                del y  # before the next product allocates its own
+                if j > 1:
+                    t -= ring[(j - 2) % length]
+            rows = j % length + 1
+            fill = ring[:rows].reshape(rows, v.size) if rows == length or j == last else None
+            consume(j, t, prev, fill)
+            if fill is not None and over(fill[-1]):
+                step = j + 1 - rows + next(i for i, row in enumerate(fill) if over(row))
+                raise RecurrenceDivergenceError(
+                    f"recurrence diverged at step {step} of {d}: the iterate "
+                    f"outgrew {GROWTH_LIMIT:g} times the start block, so the "
+                    "spectral transform does not enclose the spectrum",
+                    step,
+                )

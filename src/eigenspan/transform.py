@@ -85,9 +85,9 @@ class TargetInterval:
 
 @dataclass(frozen=True)
 class MappedOperator:
-    """l(A) = scale * A + shift * I; only the recurrence step in ``filters`` applies it.
+    """l(A) = scale * A + shift * I held unapplied: the matrix and its transform.
 
-    ``build_moment_block`` and ``chebyshev_moments`` both run that step.
+    ``build_moment_block`` and ``chebyshev_moments`` apply it.
     """
 
     a: SparseSymmetric

@@ -384,19 +384,38 @@ def test_zero_krylov_tol_exits_1_with_one_line(matrices, capsys, verb):
     ],
     ids=["krylov-tol", "quad-nodes"],
 )
+@pytest.mark.parametrize("verb", ["bench", "baseline"])
 def test_bench_rejects_baseline_inputs_before_the_filter_solve(
-    matrices, capsys, monkeypatch, option, message
+    matrices, capsys, monkeypatch, option, message, verb
 ):
-    def filter_solve(*args, **kwargs):
-        raise AssertionError("the filter solve ran")
+    # Both verbs run the contour baseline after the count; its inputs are
+    # rejected before the count (and so before any filter solve) starts.
+    def count(*args, **kwargs):
+        raise AssertionError("the count ran")
 
-    monkeypatch.setattr(eigenspan.cli, "run_cjssrr", filter_solve)
-    rc = main(["bench", "--matrix-path", matrices["diag200"], "--a", "-0.0503", "--b", "0.0503"]
+    monkeypatch.setattr(eigenspan.cli, "estimate_count", count)
+    rc = main([verb, "--matrix-path", matrices["diag200"], "--a", "-0.0503", "--b", "0.0503"]
               + option)
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
-    assert captured.err == f"eigenspan bench: {message}\n"
+    assert captured.err == f"eigenspan {verb}: {message}\n"
+
+
+@pytest.mark.parametrize("steps", ["0", "1", "-5"])
+@pytest.mark.parametrize("verb", ["solve", "count"])
+def test_lanczos_steps_below_two_exit_1_naming_the_flag(matrices, capsys, verb, steps):
+    rc = main([verb, "--matrix-path", matrices["diag200"], "--a", "-0.0503", "--b", "0.0503",
+               "--lanczos-steps", steps])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"eigenspan {verb}: --lanczos-steps must be >= 2, got {steps}\n"
+
+
+def test_report_schema_is_a_valid_2020_12_schema():
+    # The CLI validates every report against this schema without re-checking it.
+    jsonschema.Draft202012Validator.check_schema(_schema())
 
 
 # ---------------------------------------------------------------------------

@@ -209,8 +209,9 @@ def test_count_matches_the_moment_block_quadratic_form(d):
 @pytest.mark.parametrize("outside, d", [(5.0, 2000), (1.5, 60), (1.0005, 1384)])
 def test_count_stops_at_the_first_step_a_missed_eigenvalue_outgrows(outside, d):
     # A mapped eigenvalue past 1 makes T_k grow like cosh(k arccosh(t)): within
-    # a few steps at t = 5, after about 135 at t = 1.0005.  Every step up to
-    # ceil(d / 2) is checked, so the count names the first k with
+    # a few steps at t = 5, after about 135 at t = 1.0005.  Growth is checked
+    # each time the 3-iterate ring fills and at k = ceil(d / 2); since T_k
+    # only grows past 1, the count still names the first k with
     # ||T_k(D) V||_F > GROWTH_LIMIT * ||V||_F, without a RuntimeWarning.
     t_diag = np.array([outside, 0.3, -0.7, 0.9, -0.2])
     op = MappedOperator(diag_matrix(t_diag), IDENTITY_TRANSFORM)

@@ -333,6 +333,43 @@ def test_divergence_in_mid_batch_names_its_own_step(monkeypatch):
     assert excinfo.value.step == first
 
 
+def _first_step_over_the_limit(t_diag, v, steps):
+    """First j <= steps with ||T_j(D) V||_F > GROWTH_LIMIT * ||V||_F, T_j evaluated on the diagonal."""
+    return next(
+        j
+        for j in range(steps + 1)
+        if np.linalg.norm(np.polynomial.chebyshev.chebval(t_diag, [0] * j + [1])[:, None] * v)
+        > GROWTH_LIMIT * np.linalg.norm(v)
+    )
+
+
+def test_moments_divergence_in_mid_fill_names_its_own_step():
+    # The moments read back 3 iterates, so growth is checked at k = 2, 5, 8, ...
+    t_diag = np.array([1.8, 0.3, -0.6, 0.9])
+    op = MappedOperator(diag_matrix(t_diag), IDENTITY_TRANSFORM)
+    v = np.ones((4, 2))
+    first = _first_step_over_the_limit(t_diag, v, 30)
+    assert 0 < first % 3 < 2  # strictly inside its fill
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RecurrenceDivergenceError, match=f"step {first} of 60") as excinfo:
+            chebyshev_moments(op, v, 60)
+    assert excinfo.value.step == first
+
+
+@pytest.mark.parametrize("outside", [1.5, 1.8, 5.0])
+def test_block_and_moments_name_the_same_divergent_step(monkeypatch, outside):
+    t_diag = np.array([outside, 0.3, -0.7, 0.9, -0.2])
+    op = MappedOperator(diag_matrix(t_diag), IDENTITY_TRANSFORM)
+    v = np.random.default_rng(0).integers(0, 2, size=(5, 4)) * 2.0 - 1.0
+    _set_batch(monkeypatch, v, 4)
+    with pytest.raises(RecurrenceDivergenceError) as block:
+        build_moment_block(op, v, make_filter_spec(INTERVAL, d=60, m=2))
+    with pytest.raises(RecurrenceDivergenceError) as moments:
+        chebyshev_moments(op, v, 60)
+    assert block.value.step == moments.value.step == _first_step_over_the_limit(t_diag, v, 30)
+
+
 @pytest.mark.parametrize("ell", [1, 5])
 @pytest.mark.parametrize("d", [0, 1, 2, 3, 300, 301])
 def test_chebyshev_moments_match_dense_eigendecomposition_oracle(rng, d, ell):
