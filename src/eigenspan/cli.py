@@ -18,7 +18,6 @@ from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .contour import check_node_count, check_shift_tol, run_baseline
 from .engine import run_cjssrr
@@ -41,6 +40,10 @@ SCHEMA_VERSION = "1"
 
 @functools.cache
 def _report_validator():
+    # jsonschema is imported here, with the first report: probe and
+    # conditioning write none and never load it.
+    from jsonschema import Draft202012Validator
+
     with resources.files("eigenspan").joinpath("report_schema.json").open() as fh:
         return Draft202012Validator(json.load(fh))
 

@@ -179,6 +179,8 @@ def restart_loop(
     """
     if n_ev_target is None:
         raise ValueError("n_ev_target is required")
+    if n_ev_target < 1:
+        raise ValueError(f"need n_ev_target >= 1, got {n_ev_target}")
     if max_restarts < 1:
         raise ValueError(f"need max_restarts >= 1, got {max_restarts}")
     if not tol > 0:
@@ -267,8 +269,9 @@ def run_cjssrr(
     max_restarts : int
         At least 1.
     n_ev_target : int
-        Number of in-interval eigenpairs that must converge.  Required:
-        the caller knows it from a count estimate or from problem data.
+        Number of in-interval eigenpairs that must converge, at least 1.
+        Required: the caller knows it from a count estimate or from
+        problem data.
 
     Returns
     -------

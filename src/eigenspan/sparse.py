@@ -3,12 +3,14 @@
 Only real symmetric matrices are supported.  Symmetric-storage files are
 mirrored on read so the stored pattern always contains both (i, j) and
 (j, i); ``general``-storage files must already be numerically symmetric.
+
+``scipy.sparse`` is imported at the first CSR build, not with this module,
+so a process that never builds a matrix never loads it.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import MalformedFileError, MatrixFormatError, NotSymmetricError
 
@@ -59,9 +61,11 @@ class SparseSymmetric:
     row_ptr: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
-    _csr: sp.csr_matrix = field(init=False, repr=False, compare=False)
+    _csr: "scipy.sparse.csr_matrix" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        import scipy.sparse as sp
+
         self._csr = sp.csr_matrix(
             (np.asarray(self.values, dtype=np.float64), self.col_idx, self.row_ptr),
             shape=(self.n, self.n),
@@ -82,6 +86,8 @@ class SparseSymmetric:
     @classmethod
     def from_scipy(cls, a):
         """Build from any scipy sparse matrix; enforces numerical symmetry."""
+        import scipy.sparse as sp
+
         csr = sp.csr_matrix(a)
         if csr.shape[0] != csr.shape[1]:
             raise NotSymmetricError(f"matrix is {csr.shape[0]}x{csr.shape[1]}, not square")
@@ -93,6 +99,8 @@ class SparseSymmetric:
     @classmethod
     def from_dense(cls, a):
         """Build from a dense array, dropping exact zeros."""
+        import scipy.sparse as sp
+
         return cls.from_scipy(sp.csr_matrix(np.asarray(a, dtype=np.float64)))
 
     def toarray(self):
@@ -226,6 +234,13 @@ def parse_matrix_market(text):
         raise MalformedFileError(f"line {size_lineno}: dimension must be positive")
     if n_entries < 0:
         raise MalformedFileError(f"line {size_lineno}: negative entry count")
+    # A count above the lines left cannot be met: refuse it before the
+    # arrays below are sized by it.
+    if n_entries > len(lines) - size_lineno:
+        raise MalformedFileError(
+            f"line {len(lines)}: file ends after {sum(1 for _ in data)} "
+            f"of {n_entries} declared entries"
+        )
 
     rows = np.empty(n_entries, dtype=np.int64)
     cols = np.empty(n_entries, dtype=np.int64)
@@ -267,6 +282,8 @@ def parse_matrix_market(text):
             np.concatenate([cols, rows[off]]),
             np.concatenate([vals, vals[off]]),
         )
+    import scipy.sparse as sp
+
     return SparseSymmetric.from_scipy(sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)))
 
 

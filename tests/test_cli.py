@@ -121,6 +121,19 @@ def test_malformed_matrix_exits_1_naming_the_line(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+def test_huge_declared_entry_count_exits_1(tmp_path, capsys):
+    bad = tmp_path / "huge.mtx"
+    bad.write_text(
+        "%%MatrixMarket matrix coordinate real symmetric\n3 3 1000000000000\n1 1 1.0\n"
+    )
+    rc = main(["count", "--matrix-path", str(bad), "--a", "0", "--b", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == [
+        "eigenspan count: line 3: file ends after 1 of 1000000000000 declared entries"
+    ]
+
+
 def test_missing_matrix_exits_1(capsys):
     rc = main(["solve", "--matrix-path", "no/such/file.mtx", "--a", "0", "--b", "1"])
     assert rc == 1
@@ -538,6 +551,60 @@ def test_import_loads_no_dense_scipy_subpackages():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+# Prints which of the two start-up-heavy libraries the child has loaded.
+_PRINT_HEAVY = (
+    "print(' '.join(m for m in ('scipy.sparse', 'jsonschema') if m in sys.modules))\n"
+)
+
+
+def _child(code):
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_import_loads_neither_scipy_sparse_nor_jsonschema():
+    assert _child("import sys, eigenspan, eigenspan.cli\n" + _PRINT_HEAVY) == []
+
+
+def test_probe_run_loads_neither_scipy_sparse_nor_jsonschema(tmp_path):
+    out = tmp_path / "probe.csv"
+    code = (
+        "import sys\n"
+        "from eigenspan.cli import main\n"
+        "assert main(['probe', '--a', '-0.2', '--b', '0.4', '--p-degree', '0',\n"
+        f"             '--points=0.1', '--d-max', '400', '--out', {str(out)!r}]) == 0\n"
+        + _PRINT_HEAVY
+    )
+    assert _child(code) == []
+    assert out.read_text().startswith("d,t,")
+
+
+def test_count_run_loads_both_and_still_validates_its_report(matrices, tmp_path):
+    # The second count hands _emit_json a report without its command: the
+    # lazily built validator must still refuse it, and nothing is written.
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    argv = ["count", "--matrix-path", matrices["lap12"], "--a", "1.9", "--b", "2.1"]
+    code = (
+        "import sys, jsonschema\n"
+        "import eigenspan.cli as cli\n"
+        f"assert cli.main({argv + ['--report-path', str(good)]!r}) == 0\n"
+        + _PRINT_HEAVY +
+        "emit = cli._emit_json\n"
+        "cli._emit_json = lambda report, path: emit(\n"
+        "    {k: v for k, v in report.items() if k != 'command'}, path)\n"
+        "try:\n"
+        f"    cli.main({argv + ['--report-path', str(bad)]!r})\n"
+        "except jsonschema.ValidationError:\n"
+        "    print('rejected')\n"
+    )
+    assert _child(code) == ["scipy.sparse", "jsonschema", "rejected"]
+    assert json.loads(good.read_text())["command"] == "count"
+    assert not bad.exists()
 
 
 def test_module_entry_point_help():

@@ -347,6 +347,22 @@ def test_solver_rejects_nonpositive_tolerance(rng, tol):
         run_cjssrr(a, tr, iv, spec, rng.standard_normal((30, 4)), tol=tol, n_ev_target=5)
 
 
+@pytest.mark.parametrize("n_ev", [0, -2])
+@pytest.mark.parametrize("method", ["filter", "contour"])
+def test_solvers_reject_a_target_count_below_one(rng, method, n_ev):
+    # Without the check, 0 fails indexing the residual history and -2
+    # reports converged with no pairs.
+    a = diag_matrix(np.linspace(-1.0, 1.0, 30))
+    tr = exact_transform(-1.0, 1.0)
+    iv = make_interval(tr, -0.2, 0.2)
+    v0 = rng.standard_normal((30, 4))
+    with pytest.raises(ValueError, match=f"n_ev_target >= 1, got {n_ev}"):
+        if method == "filter":
+            run_cjssrr(a, tr, iv, make_filter_spec(iv, d=20, m=2), v0, n_ev_target=n_ev)
+        else:
+            run_baseline(a, tr, iv, 2, 4, v0, n_ev_target=n_ev)
+
+
 def test_unreachable_tolerance_reports_best_effort(rng):
     values = np.linspace(-1.0, 1.0, 80)
     a = diag_matrix(values)

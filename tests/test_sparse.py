@@ -144,6 +144,15 @@ def test_too_few_entries_rejected():
         parse_matrix_market(text)
 
 
+def test_huge_declared_entry_count_rejected_before_allocating():
+    # 10^12 entries would need 7.28 TiB of index and value arrays.
+    text = "%%MatrixMarket matrix coordinate real symmetric\n3 3 1000000000000\n1 1 2.0\n"
+    with pytest.raises(
+        MalformedFileError, match="line 3: file ends after 1 of 1000000000000 declared entries"
+    ):
+        parse_matrix_market(text)
+
+
 def test_too_many_entries_rejected():
     text = (
         "%%MatrixMarket matrix coordinate real symmetric\n"
