@@ -50,6 +50,7 @@ from .errors import (
     IntervalError,
     MalformedFileError,
     MatrixFormatError,
+    NonFiniteError,
     NotSymmetricError,
     RecurrenceDivergenceError,
 )

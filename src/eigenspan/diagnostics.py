@@ -56,7 +56,8 @@ def kernel_moments(d, k):
         raise ValueError(f"kernel defined for d >= 2, got {d}")
     if k not in (0, 1, 2, 4):
         raise ValueError(f"moment power must be in {{0, 1, 2, 4}}, got {k}")
-    phi, w = panel_rule(0.0, PI, d)
+    rule = panel_rule(0.0, PI, d)
+    phi, w = rule.nodes, rule.weights
     vals = kernel_value(d, phi) * phi**k
     return float(2.0 / PI * (w @ vals))
 

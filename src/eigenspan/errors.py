@@ -17,6 +17,10 @@ class NotSymmetricError(EigenspanError, ValueError):
     """Matrix is not symmetric (structurally or numerically)."""
 
 
+class NonFiniteError(EigenspanError, ValueError):
+    """Matrix holds a NaN or infinite value."""
+
+
 class IntervalError(EigenspanError, ValueError):
     """Target interval is empty, escapes the spectral range, or collapses when mapped."""
 

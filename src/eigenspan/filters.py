@@ -14,7 +14,11 @@ with alpha = arccos(a_t), beta = arccos(b_t).  Applying F_d(p_k) to a matrix
 uses only the three-term recurrence, d matrix applications per start vector.
 The integrand is a trigonometric polynomial of degree d + k, so composite
 Gauss-Legendre on panels short against its top frequency computes the
-coefficients to roundoff.  This module holds the package's one quadrature
+coefficients to roundoff.  All panels of that rule share one half-width, so
+the phase e^{i j theta} at a node theta = mid + half x factors into a panel
+factor e^{i j mid} and a reference factor e^{i j half x}; the quadrature
+builds its phase tables from these products, not from one exponential per
+node and frequency.  This module holds the package's one quadrature
 rule (``panel_rule``), its one series evaluator (``cosine_series``), its
 one basis evaluator (``basis_values``) and its one Chebyshev recurrence
 (``_recurrence``), which ``build_moment_block`` and ``chebyshev_moments``
@@ -35,9 +39,10 @@ BASES = ("chebyshev", "scaled", "monomial")
 PANEL_NODES = 32
 #: Largest span, in radians of the integrand's top frequency, of one panel.
 PANEL_RADIANS = 24.0
-#: Angles per pass of the coefficient quadrature and of ``cosine_series``;
-#: at degree 10^4 this keeps each complex quadrature temporary near 256 KB
-#: and each cosine table near 10 MB.
+#: Angles per pass of ``cosine_series`` and of the coefficient quadrature,
+#: which takes them as ANGLE_CHUNK // PANEL_NODES whole panels and forms
+#: the panel factors of its phase tables per pass; at degree 10^4 this keeps
+#: each complex phase table near 200 KB and each cosine table near 10 MB.
 ANGLE_CHUNK = 128
 #: Byte budget of ``build_moment_block``'s ring of iterates; the ring holds
 #: as many (n, ell) iterates as fit, at least 3 and at most BATCH_MAX.
@@ -64,8 +69,31 @@ def jackson_factors(d):
     return rho
 
 
+@dataclass(frozen=True)
+class PanelRule:
+    """Composite Gauss-Legendre panels of one shared half-width.
+
+    Node p * PANEL_NODES + q is ``mids[p] + half * x[q]`` with weight
+    ``half * w[q]``, where ``x`` and ``w`` are the reference rule on [-1, 1].
+    ``nodes`` and ``weights`` give the flat rule.
+    """
+
+    mids: np.ndarray
+    half: float
+    x: np.ndarray
+    w: np.ndarray
+
+    @property
+    def nodes(self):
+        return (self.mids[:, None] + self.half * self.x).ravel()
+
+    @property
+    def weights(self):
+        return np.tile(self.half * self.w, self.mids.size)
+
+
 def panel_rule(lo, hi, frequency):
-    """Nodes and weights of composite Gauss-Legendre on [lo, hi].
+    """Composite Gauss-Legendre on [lo, hi], as a ``PanelRule``.
 
     Equal PANEL_NODES-node panels, each at most PANEL_RADIANS of
     ``frequency`` wide, integrate a trigonometric polynomial of that degree
@@ -75,8 +103,7 @@ def panel_rule(lo, hi, frequency):
     x, w = np.polynomial.legendre.leggauss(PANEL_NODES)
     edges = np.linspace(lo, hi, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    return (mids[:, None] + half * x).ravel(), np.tile(half * w, panels)
+    return PanelRule(mids, 0.5 * (edges[1] - edges[0]), x, w)
 
 
 def cosine_series(theta, rows):
@@ -115,26 +142,36 @@ def _coefficient_rows(iv, basis, ks, d):
     Composite Gauss-Legendre over theta in [beta, alpha], each panel at most
     PANEL_RADIANS of the top frequency d + max(ks).  Writing j = W b + r
     with W = isqrt(d) + 1, angle addition gives
-    cos(j theta) = Re(e^{i W b theta} e^{i r theta}), so each node chunk
-    needs two small exponential tables and one complex matrix product per
-    row for all d + 1 columns.
+    cos(j theta) = Re(e^{i W b theta} e^{i r theta}), so each chunk of
+    ANGLE_CHUNK // PANEL_NODES panels needs a coarse (j = W b) and a fine
+    (j = r) phase table and one matrix product per row for all d + 1
+    columns.  A node is theta = mid + half x, so each table is the
+    broadcast product of its panel factors e^{i j mid}, formed per chunk,
+    and its reference factors e^{i j half x}, formed once per call on the
+    PANEL_NODES reference nodes.
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}, expected one of {BASES}")
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
     ks = np.asarray(ks)
-    theta, w = panel_rule(iv.beta, iv.alpha, d + int(ks.max()))
-    g = 2.0 / math.pi * w * basis_values(basis, ks, np.cos(theta), iv.a_t, iv.b_t)
+    rule = panel_rule(iv.beta, iv.alpha, d + int(ks.max()))
+    g = 2.0 / math.pi * rule.weights * basis_values(basis, ks, np.cos(rule.nodes), iv.a_t, iv.b_t)
 
     width = math.isqrt(d) + 1
     blocks = d // width + 1
+    coarse_j = width * np.arange(blocks)
+    fine_j = np.arange(width)
+    coarse_ref = np.exp(1j * np.outer(coarse_j, rule.half * rule.x))  # (blocks, PANEL_NODES)
+    fine_ref = np.exp(1j * np.outer(rule.half * rule.x, fine_j))  # (PANEL_NODES, width)
+    per = ANGLE_CHUNK // PANEL_NODES  # panels per chunk
     out = np.zeros((ks.size, blocks, width))
-    for start in range(0, theta.size, ANGLE_CHUNK):
-        th = theta[start : start + ANGLE_CHUNK]
-        coarse = np.exp(1j * np.outer(width * np.arange(blocks), th))
-        fine = np.exp(1j * np.outer(th, np.arange(width)))
-        for row, g_row in zip(out, g[:, start : start + ANGLE_CHUNK]):
+    for p in range(0, rule.mids.size, per):
+        mids = rule.mids[p : p + per]
+        coarse = np.exp(1j * np.outer(coarse_j, mids))[:, :, None] * coarse_ref[:, None, :]
+        fine = np.exp(1j * np.outer(mids, fine_j))[:, None, :] * fine_ref
+        coarse, fine = coarse.reshape(blocks, -1), fine.reshape(-1, width)
+        for row, g_row in zip(out, g[:, p * PANEL_NODES : (p + per) * PANEL_NODES]):
             row += ((coarse * g_row) @ fine).real
     return out.reshape(ks.size, -1)[:, : d + 1]
 

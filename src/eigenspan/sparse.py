@@ -8,14 +8,17 @@ mirrored on read so the stored pattern always contains both (i, j) and
 so a process that never builds a matrix never loads it.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedFileError, MatrixFormatError, NotSymmetricError
+from .errors import MalformedFileError, MatrixFormatError, NonFiniteError, NotSymmetricError
 
 # Relative tolerance used when checking value symmetry of general-storage files.
 SYMMETRY_RTOL = 1e-12
+# One Matrix Market entry line: 1-based row, 1-based column, value.
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
 class MVCounter:
@@ -85,7 +88,7 @@ class SparseSymmetric:
 
     @classmethod
     def from_scipy(cls, a):
-        """Build from any scipy sparse matrix; enforces numerical symmetry."""
+        """Build from any scipy sparse matrix; enforces finite values and numerical symmetry."""
         import scipy.sparse as sp
 
         csr = sp.csr_matrix(a)
@@ -93,6 +96,7 @@ class SparseSymmetric:
             raise NotSymmetricError(f"matrix is {csr.shape[0]}x{csr.shape[1]}, not square")
         csr.sum_duplicates()
         csr.sort_indices()
+        _check_finite(csr)
         _check_numerically_symmetric(csr)
         return cls(csr.shape[0], csr.indptr, csr.indices, csr.data)
 
@@ -138,6 +142,19 @@ def matvec(a, x, counter=None):
     return a._csr @ x
 
 
+def _entry_position(csr, k):
+    """1-based (row, column) of stored entry k of a CSR matrix."""
+    return int(np.searchsorted(csr.indptr, k, side="right")), int(csr.indices[k]) + 1
+
+
+def _check_finite(csr):
+    """Raise NonFiniteError if any stored value is NaN or infinite."""
+    bad = np.flatnonzero(~np.isfinite(csr.data))
+    if bad.size:
+        row, col = _entry_position(csr, bad[0])
+        raise NonFiniteError(f"value at ({row}, {col}) is not finite")
+
+
 def _check_numerically_symmetric(csr):
     """Raise NotSymmetricError unless pattern and values are symmetric.
 
@@ -156,11 +173,8 @@ def _check_numerically_symmetric(csr):
     tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(csr.data))
     if np.any(diff > tol):
         k = int(np.argmax(diff - tol))
-        row = int(np.searchsorted(csr.indptr, k, side="right") - 1)
-        col = int(csr.indices[k])
-        raise NotSymmetricError(
-            f"values at ({row + 1}, {col + 1}) and transpose differ by {diff[k]:.3e}"
-        )
+        row, col = _entry_position(csr, k)
+        raise NotSymmetricError(f"values at ({row}, {col}) and transpose differ by {diff[k]:.3e}")
 
 
 def parse_matrix_market(text):
@@ -184,8 +198,8 @@ def parse_matrix_market(text):
         ``symmetric`` or ``general`` symmetry.
     MalformedFileError
         Structural violations (bad token counts, unparsable numbers,
-        indices out of range, wrong entry count); messages carry the
-        1-based line number.
+        indices out of range, NaN or infinite values, wrong entry count);
+        messages carry the 1-based line number.
     NotSymmetricError
         ``general`` storage whose pattern or values are not symmetric,
         or a non-square size line.
@@ -211,9 +225,9 @@ def parse_matrix_market(text):
     # Data lines after the header, blank and % lines skipped: the size line
     # first, then the entries.
     data = (
-        (lineno, stripped)
-        for lineno, stripped in enumerate((raw.strip() for raw in lines[1:]), start=2)
-        if stripped and not stripped.startswith("%")
+        (lineno, raw.strip())
+        for lineno, raw in enumerate(lines[1:], start=2)
+        if raw.lstrip()[:1] not in ("", "%")
     )
     size_lineno, size_line = next(data, (None, None))
     if size_lineno is None:
@@ -234,14 +248,55 @@ def parse_matrix_market(text):
         raise MalformedFileError(f"line {size_lineno}: dimension must be positive")
     if n_entries < 0:
         raise MalformedFileError(f"line {size_lineno}: negative entry count")
-    # A count above the lines left cannot be met: refuse it before the
-    # arrays below are sized by it.
+    entries = [raw for raw in lines[size_lineno:] if raw.lstrip()[:1] not in ("", "%")]
+    # A count above the lines left cannot be met: refuse it before
+    # ``_scan_entries`` sizes its arrays by it.
     if n_entries > len(lines) - size_lineno:
         raise MalformedFileError(
-            f"line {len(lines)}: file ends after {sum(1 for _ in data)} "
-            f"of {n_entries} declared entries"
+            f"line {len(lines)}: file ends after {len(entries)} of {n_entries} declared entries"
         )
 
+    parsed = _load_entries(entries, nrows, n_entries)
+    if parsed is None:
+        parsed = _scan_entries(data, nrows, n_entries, len(lines))
+    rows, cols, vals = parsed
+
+    if symm == "symmetric":
+        off = rows != cols
+        rows, cols, vals = (
+            np.concatenate([rows, cols[off]]),
+            np.concatenate([cols, rows[off]]),
+            np.concatenate([vals, vals[off]]),
+        )
+    import scipy.sparse as sp
+
+    return SparseSymmetric.from_scipy(sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)))
+
+
+def _load_entries(entries, n, n_entries):
+    """Bulk-parse entry lines into 0-based (rows, cols, vals), or None.
+
+    None means no lines, or lines that break a rule of ``_scan_entries`` (or
+    a stricter one of ``np.loadtxt``, which refuses ``1_0`` for 10); the
+    caller then rescans them one at a time, which names the first bad line.
+    """
+    if not entries or len(entries) != n_entries:
+        return None
+    try:
+        parsed = np.loadtxt(entries, dtype=_ENTRY, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    rows, cols, vals = parsed["i"] - 1, parsed["j"] - 1, parsed["v"]
+    in_range = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
+    return (rows, cols, vals) if in_range.all() and np.isfinite(vals).all() else None
+
+
+def _scan_entries(data, n, n_entries, n_lines):
+    """Parse the (line number, stripped line) entries of ``data`` one at a time.
+
+    Raises MalformedFileError at the first line that breaks a rule, in line
+    order; returns 0-based (rows, cols, vals) if none does.
+    """
     rows = np.empty(n_entries, dtype=np.int64)
     cols = np.empty(n_entries, dtype=np.int64)
     vals = np.empty(n_entries, dtype=np.float64)
@@ -262,29 +317,21 @@ def parse_matrix_market(text):
             v = float(tokens[2])
         except ValueError:
             raise MalformedFileError(f"line {lineno}: entry is not 'int int real'") from None
-        if not (1 <= i <= nrows and 1 <= j <= ncols):
+        if not (1 <= i <= n and 1 <= j <= n):
             raise MalformedFileError(
-                f"line {lineno}: index ({i}, {j}) outside 1..{nrows}"
+                f"line {lineno}: index ({i}, {j}) outside 1..{n}"
             )
+        if not math.isfinite(v):
+            raise MalformedFileError(f"line {lineno}: value is not finite")
         rows[seen] = i - 1
         cols[seen] = j - 1
         vals[seen] = v
         seen += 1
     if seen != n_entries:
         raise MalformedFileError(
-            f"line {len(lines)}: file ends after {seen} of {n_entries} declared entries"
+            f"line {n_lines}: file ends after {seen} of {n_entries} declared entries"
         )
-
-    if symm == "symmetric":
-        off = rows != cols
-        rows, cols, vals = (
-            np.concatenate([rows, cols[off]]),
-            np.concatenate([cols, rows[off]]),
-            np.concatenate([vals, vals[off]]),
-        )
-    import scipy.sparse as sp
-
-    return SparseSymmetric.from_scipy(sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)))
+    return rows, cols, vals
 
 
 def load_matrix_market(path):

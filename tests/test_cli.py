@@ -134,6 +134,19 @@ def test_huge_declared_entry_count_exits_1(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("verb", ["count", "solve"])
+def test_non_finite_matrix_value_exits_1_naming_the_line(tmp_path, capsys, verb):
+    bad = tmp_path / "nan.mtx"
+    bad.write_text(
+        "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 2.0\n2 2 nan\n3 3 1.0\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([verb, "--matrix-path", str(bad), "--a", "0.5", "--b", "1.5"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"eigenspan {verb}: line 4: value is not finite"]
+
+
 def test_missing_matrix_exits_1(capsys):
     rc = main(["solve", "--matrix-path", "no/such/file.mtx", "--a", "0", "--b", "1"])
     assert rc == 1

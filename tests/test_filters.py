@@ -27,7 +27,15 @@ from eigenspan import (
     step_coefficients,
 )
 from eigenspan import filters
-from eigenspan.filters import ANGLE_CHUNK, GROWTH_LIMIT, FilterSpec, cosine_series
+from eigenspan.filters import (
+    ANGLE_CHUNK,
+    GROWTH_LIMIT,
+    PANEL_NODES,
+    FilterSpec,
+    basis_values,
+    cosine_series,
+    panel_rule,
+)
 from helpers import diag_matrix, random_spectrum_matrix
 from eigenspan import SparseSymmetric
 
@@ -133,6 +141,47 @@ def test_coefficient_validation():
         step_coefficients(INTERVAL, "chebyshev", -1, 4)
     with pytest.raises(ValueError):
         step_coefficients(INTERVAL, "chebyshev", 0, -2)
+
+
+def brute_force_rows(iv, basis, m, d):
+    """c_{k, 0..d}, k < m, summed directly over the flat nodes of the same panel rule."""
+    rule = panel_rule(iv.beta, iv.alpha, d + m - 1)
+    theta, w = rule.nodes, rule.weights
+    g = 2.0 / math.pi * w * basis_values(basis, np.arange(m), np.cos(theta), iv.a_t, iv.b_t)
+    return (np.cos(np.outer(np.arange(d + 1), theta)) @ g.T).T
+
+
+@pytest.mark.parametrize("lo, hi", [(-0.3, 0.1), (0.5, 0.55), (-0.9, 0.9)])
+def test_constant_row_matches_closed_form_at_degree_ten_thousand(lo, hi):
+    iv = mapped_interval(lo, hi)
+    d = 10_000
+    j = np.arange(1, d + 1)
+    expected = np.concatenate(
+        [[2.0 * (iv.alpha - iv.beta)], 2.0 * (np.sin(j * iv.alpha) - np.sin(j * iv.beta)) / j]
+    ) / math.pi
+    row = step_coefficients(iv, "chebyshev", 0, d)
+    assert np.max(np.abs(row - expected)) <= 2e-14
+
+
+@pytest.mark.parametrize("basis", ["chebyshev", "scaled", "monomial"])
+def test_coefficient_rows_match_direct_cosine_sum(basis):
+    d, m = 2000, 4
+    got = make_filter_spec(INTERVAL, d=d, m=m, basis=basis).coeffs
+    expected = brute_force_rows(INTERVAL, basis, m, d)
+    for k in range(m):
+        assert np.max(np.abs(got[k] - expected[k])) <= 1e-13 * np.max(np.abs(expected[k]))
+
+
+@pytest.mark.parametrize("iv, d", [(NARROW_INTERVAL, 2), (INTERVAL, 330), (INTERVAL, 400)])
+def test_coefficient_rows_cover_a_partial_last_chunk(iv, d):
+    # Panels go ANGLE_CHUNK // PANEL_NODES to a chunk; these panel counts
+    # (1, 9 and 11) leave a shorter chunk at the end.
+    per = ANGLE_CHUNK // PANEL_NODES
+    panels = panel_rule(iv.beta, iv.alpha, d + 1).mids.size
+    assert panels % per != 0
+    got = make_filter_spec(iv, d=d, m=2).coeffs
+    expected = brute_force_rows(iv, "chebyshev", 2, d)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_filter_spec_shapes():

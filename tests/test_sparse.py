@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from eigenspan import (
     MVCounter,
     MalformedFileError,
     MatrixFormatError,
+    NonFiniteError,
     NotSymmetricError,
     SparseSymmetric,
     load_matrix_market,
@@ -15,7 +17,8 @@ from eigenspan import (
     save_matrix_market,
     write_matrix_market,
 )
-from helpers import random_symmetric
+from eigenspan import sparse
+from helpers import laplacian_2d, random_symmetric
 
 SYMMETRIC_2X2 = """%%MatrixMarket matrix coordinate real symmetric
 2 2 2
@@ -126,6 +129,33 @@ def test_non_numeric_entry_rejected():
         parse_matrix_market(text)
 
 
+@pytest.mark.parametrize("comment, tokens", [("%note", 4), ("% note", 5)])
+def test_trailing_comment_on_an_entry_counts_as_tokens(comment, tokens):
+    text = f"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0 {comment}\n"
+    with pytest.raises(MalformedFileError, match=f"line 3: entry has {tokens} tokens, expected 3"):
+        parse_matrix_market(text)
+
+
+def test_real_valued_index_rejected():
+    text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n1.0 2 1.0\n"
+    with pytest.raises(MalformedFileError, match="line 4: entry is not 'int int real'"):
+        parse_matrix_market(text)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_value_rejected_at_its_line(value):
+    text = f"%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 2.0\n2 2 {value}\n3 3 1.0\n"
+    with pytest.raises(MalformedFileError, match="line 4: value is not finite"):
+        parse_matrix_market(text)
+
+
+def test_entries_the_bulk_parser_refuses_are_rescanned():
+    # Python's int() reads 1_0 as 10; np.loadtxt does not, so these lines
+    # take the line-by-line path and still parse.
+    a = parse_matrix_market("%%MatrixMarket matrix coordinate real general\n10 10 1\n1_0 1_0 2.5\n")
+    assert a.toarray()[9, 9] == 2.5
+
+
 def test_index_out_of_range_rejected():
     text = "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n3 1 1.0\n"
     with pytest.raises(MalformedFileError, match="line 3"):
@@ -217,6 +247,20 @@ def test_write_then_parse_round_trips_csr_arrays(rng):
     np.testing.assert_array_equal(a.values, b.values)
 
 
+def test_grid_round_trips_csr_arrays_through_the_bulk_parser(rng, monkeypatch):
+    # The 100 x 100 grid's pattern with random symmetric values; every line
+    # is well formed, so the line-by-line scan must not run.
+    upper = sp.triu(laplacian_2d(100)._csr).tocoo()
+    upper.data = rng.standard_normal(upper.nnz)
+    a = SparseSymmetric.from_scipy(upper + sp.triu(upper, 1).T)
+    monkeypatch.setattr(sparse, "_scan_entries", lambda *args: pytest.fail("line scan ran"))
+    b = parse_matrix_market(write_matrix_market(a))
+    assert b.n == a.n == 10_000
+    np.testing.assert_array_equal(a.row_ptr, b.row_ptr)
+    np.testing.assert_array_equal(a.col_idx, b.col_idx)
+    np.testing.assert_array_equal(a.values, b.values)
+
+
 def test_save_then_load_round_trips(tmp_path, rng):
     a = SparseSymmetric.from_dense(random_symmetric(7, rng))
     path = tmp_path / "matrix.mtx"
@@ -230,6 +274,15 @@ def test_from_scipy_rejects_asymmetric_dense(rng):
     g = rng.standard_normal((5, 5))
     with pytest.raises(NotSymmetricError):
         SparseSymmetric.from_dense(g + 0.1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_from_dense_rejects_non_finite_values(value):
+    dense = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, value], [0.0, value, 3.0]])
+    with pytest.raises(NonFiniteError, match=r"value at \(2, 3\) is not finite"):
+        SparseSymmetric.from_dense(dense)
+    with pytest.raises(ValueError):
+        SparseSymmetric.from_scipy(sp.csr_matrix(dense))
 
 
 def test_csr_invariants_hold(rng):
