@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .contour import check_node_count, check_shift_tol, run_baseline
-from .engine import run_cjssrr
+from .engine import check_block_width, check_stopping, run_cjssrr
 from .errors import EigenspanError
 from .estimators import estimate_count, recommended_block_size, select_degree
 from .dense import _kappa_rank
@@ -217,18 +217,17 @@ def _filter_degree(args, iv):
 _COUNT_ECHO = ("matrix_path", "a", "b", "samples", "seed", "spectral_bounds", "lanczos_steps")
 
 
-def _count(args):
-    """Problem, count estimate and count config echo: the step every counting verb shares.
+def _count(args, a, tr, iv):
+    """Count estimate and count config echo: the step every counting verb shares.
 
     --count-degree "auto" means the filter degree of the verb's parser
     (``count`` and ``baseline`` fix theirs with ``set_defaults``).
     """
-    a, tr, iv = _resolve_problem(args)
     degree = _filter_degree(args, iv) if args.count_degree == "auto" else args.count_degree
     est = estimate_count(MappedOperator(a, tr), iv, d=degree, samples=args.samples, seed=args.seed)
     config = {key: getattr(args, key) for key in _COUNT_ECHO}
     config["count_degree"] = int(degree)
-    return a, tr, iv, est, config
+    return est, config
 
 
 def _prepare(args):
@@ -238,11 +237,16 @@ def _prepare(args):
     for the damped filter's deficit; the convergence target rounds the plain
     trace mean ``n_ev_tilde - 1``, which runs low as a count.  The auto
     block size is capped at n, the widest start block the solvers take.
+    The solvers' own arguments are checked before the count pass runs.
     """
     if "quad_nodes" in args:  # the contour baseline runs last; reject its inputs first
         check_node_count(args.quad_nodes)
         check_shift_tol(args.krylov_tol)
-    a, tr, iv, est, config = _count(args)
+    check_stopping(args.tol, args.max_restarts)
+    a, tr, iv = _resolve_problem(args)
+    if args.ell != "auto":
+        check_block_width(a.n, args.ell)
+    est, config = _count(args, a, tr, iv)
     n_ev_target = max(1, int(round(est.n_ev_tilde - 1.0)))
     if args.ell == "auto":
         ell = min(recommended_block_size(est.n_ev_tilde, args.m), a.n)
@@ -358,7 +362,8 @@ def _solve_one(args, command, run):
 
 def cmd_count(args):
     start = time.perf_counter()
-    _, tr, _, est, config = _count(args)
+    a, tr, iv = _resolve_problem(args)
+    est, config = _count(args, a, tr, iv)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "count",
@@ -413,6 +418,7 @@ def cmd_conditioning(args):
     if not args.m_grid:
         raise ValueError("--m-grid must list at least one moment count")
     a, tr, iv = _resolve_problem(args)
+    check_block_width(a.n, args.ell)
     rng = np.random.default_rng(args.seed)
     v0 = rng.standard_normal((a.n, args.ell))
     a_t = MappedOperator(a, tr)

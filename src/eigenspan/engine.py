@@ -142,6 +142,22 @@ def orthonormalize_block(s):
     return u, (None if rank == s.shape[1] else rank)
 
 
+def check_stopping(tol, max_restarts):
+    """Reject a restart budget below 1 or a residual tolerance that is not positive."""
+    if max_restarts < 1:
+        raise ValueError(f"need max_restarts >= 1, got {max_restarts}")
+    if not tol > 0:
+        raise ValueError(f"need tol > 0, got {tol}")
+
+
+def check_block_width(n, ell):
+    """Reject a start block of ell columns for an n-row matrix unless 1 <= ell <= n."""
+    if ell < 1:
+        raise ValueError("the start block has no columns")
+    if ell > n:
+        raise ValueError(f"the start block has {ell} columns, more than the matrix's {n} rows")
+
+
 def restart_loop(
     a,
     tr,
@@ -181,16 +197,10 @@ def restart_loop(
         raise ValueError("n_ev_target is required")
     if n_ev_target < 1:
         raise ValueError(f"need n_ev_target >= 1, got {n_ev_target}")
-    if max_restarts < 1:
-        raise ValueError(f"need max_restarts >= 1, got {max_restarts}")
-    if not tol > 0:
-        raise ValueError(f"need tol > 0, got {tol}")
+    check_stopping(tol, max_restarts)
     v = np.asarray(v0, dtype=np.float64)
     n, ell = v.shape
-    if ell < 1:
-        raise ValueError("the start block has no columns")
-    if ell > n:
-        raise ValueError(f"the start block has {ell} columns, more than the matrix's {n} rows")
+    check_block_width(n, ell)
     counter = MVCounter()
     norm_a = tr.operator_norm
     degraded = []

@@ -107,7 +107,10 @@ def estimate_count(a_t, iv, d=2000, samples=30, seed=0):
 
     (Weisse, Wellein, Alvermann & Fehske, Rev. Mod. Phys. 78, 275 (2006),
     Sec. II.D), so the estimate costs ceil(d / 2) * samples products with
-    the matrix and no (n, samples) accumulation.
+    the matrix and no (n, samples) accumulation.  A probe block of
+    n * samples >= 2 * PANEL_ELEMENTS elements runs as column panels on up
+    to one thread per usable CPU, BLAS left at its own thread setting (see
+    ``chebyshev_moments``); the estimate is the same bit for bit.
 
     Parameters
     ----------

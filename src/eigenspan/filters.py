@@ -23,15 +23,27 @@ rule (``panel_rule``), its one series evaluator (``cosine_series``), its
 one basis evaluator (``basis_values``) and its one Chebyshev recurrence
 (``_recurrence``), which ``build_moment_block`` and ``chebyshev_moments``
 consume.
+
+``chebyshev_moments`` splits a start block of n * ell >= 2 * PANEL_ELEMENTS
+elements into min(usable CPUs, ell, n * ell // PANEL_ELEMENTS) column
+panels, one thread each, the caller's thread included.  Each column's
+moments depend only on that column, so the panels give the moments of the
+whole block bit for bit; they pool their squared norms for the growth rule.
+These threads are the module's own: BLAS stays at its thread setting (one
+thread in the benchmark), and ``build_moment_block`` runs whole on the
+caller's thread.
 """
 
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RecurrenceDivergenceError
-from .sparse import matvec
+from .sparse import MVCounter, matvec
 
 BASES = ("chebyshev", "scaled", "monomial")
 
@@ -51,6 +63,11 @@ BATCH_BYTES = 2**20
 BATCH_MAX = 16
 #: Largest ||T_j(A_t) V||_F / ||V||_F that the recurrence accepts.
 GROWTH_LIMIT = 16.0
+#: Start-block elements (n * ell) per column panel of ``chebyshev_moments``.
+PANEL_ELEMENTS = 2**16
+#: Elements per tile of a recurrence step that overwrites its oldest iterate
+#: in place; the step's scratch holds one tile.
+STEP_TILE = 2**15
 
 
 def jackson_factors(d):
@@ -304,6 +321,25 @@ def build_moment_block(a_t, v, spec, counter=None):
     return s.reshape(spec.m, n, ell).transpose(1, 0, 2).reshape(n, spec.m * ell)
 
 
+def usable_cpus():
+    """CPUs this process may run on: its affinity mask, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _panel_bounds(v):
+    """Column bounds of the panels of start block ``v``; widths differ by at most one.
+
+    min(usable CPUs, ell, n * ell // PANEL_ELEMENTS) panels, at least one; a
+    ``v`` that is not 2-D gets one, for ``_recurrence`` to reject.
+    """
+    n, ell = np.shape(v) if np.ndim(v) == 2 else (0, 1)
+    panels = max(1, min(usable_cpus(), ell, n * ell // PANEL_ELEMENTS))
+    return [ell * p // panels for p in range(panels + 1)]
+
+
 def chebyshev_moments(a_t, v, d, counter=None):
     """Chebyshev moments mu_{j,i} = v_i^T T_j(A_t) v_i, j = 0..d, of each start column.
 
@@ -316,7 +352,15 @@ def chebyshev_moments(a_t, v, d, counter=None):
         mu_{2k - 1} = 2 <T_k v, T_{k-1} v> - mu_1,
 
     with mu_0 = <v, v> and mu_1 = <T_1 v, v>.  No filtered block is
-    accumulated.
+    accumulated, and the recurrence keeps two iterates.
+
+    Each column's moments depend only on that column, so an n-by-ell block
+    runs as min(usable CPUs, ell, n * ell // PANEL_ELEMENTS) column panels
+    (``usable_cpus``): the caller's thread runs the first panel's recurrence
+    and one helper thread each runs the others.  The moments equal those of
+    the block run whole, bit for bit; below 2 * PANEL_ELEMENTS elements, or
+    on one CPU, the block runs whole on the caller's thread.  The threads
+    leave BLAS's own thread count as it is.
 
     Parameters
     ----------
@@ -325,7 +369,7 @@ def chebyshev_moments(a_t, v, d, counter=None):
     d : int
         Highest moment, d >= 0.
     counter : MVCounter, optional
-        Charged the K * ell products.
+        Charged the K * ell products, from the caller's thread.
 
     Returns
     -------
@@ -335,70 +379,171 @@ def chebyshev_moments(a_t, v, d, counter=None):
     ------
     RecurrenceDivergenceError
         If ||T_k(A_t) V||_F, k <= K, exceeds GROWTH_LIMIT * ||V||_F or is
-        not finite: checked as in ``build_moment_block``, on a ring of three
-        iterates; the message names the step k "of d".
+        not finite: checked as in ``build_moment_block``, on a ring of two
+        iterates, with the norms of all panels pooled, so every panel count
+        names the same step k "of d".  An error in any panel is raised here
+        once every helper thread has ended.
     """
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
+    bounds = _panel_bounds(v)
+    if len(bounds) == 2:
+        return _moments(a_t, v, d, counter)
+    v = np.asarray(v, dtype=np.float64)
+    counters = [MVCounter() for _ in bounds[1:]]
+    jobs = [
+        functools.partial(_moments, a_t, v[:, lo:hi], d, c)
+        for lo, hi, c in zip(bounds, bounds[1:], counters)
+    ]
+    mu = _run_panels(jobs)
+    if counter is not None:
+        counter.add(sum(c.count for c in counters))
+    return np.concatenate(mu, axis=1)
+
+
+def _moments(a_t, v, d, counter, pool=None):
+    """``chebyshev_moments`` of ``v`` on this thread; ``pool`` as in ``_recurrence``."""
     mu = []  # mu[j] for j = 0..2K, appended in order
 
+    def dots(x, y):
+        # einsum adds up two or more columns row by row but a lone column in
+        # vector partial sums; a one-column panel of a wider block takes the
+        # running sum, which adds row by row, to match its column of the block.
+        if pool is None or x.shape[1] > 1:
+            return np.einsum("ij,ij->j", x, y)
+        return np.cumsum(x[:, 0] * y[:, 0])[-1:]
+
     def add(k, t, prev, fill):
-        square = np.einsum("ij,ij->j", t, t)
+        square = dots(t, t)
         if k == 0:
             mu.append(square)
             return
-        cross = np.einsum("ij,ij->j", t, prev)
+        cross = dots(t, prev)
         mu.append(cross if k == 1 else 2.0 * cross - mu[1])
         mu.append(2.0 * square - mu[0])
 
-    _recurrence(a_t, v, (d + 1) // 2, d, 3, add, counter)
+    _recurrence(a_t, v, (d + 1) // 2, d, 2, add, counter, pool)
     return np.stack(mu)[: d + 1]
 
 
-def _recurrence(a_t, v, last, d, length, consume, counter):
+def _run_panels(jobs):
+    """Call ``job(pool)`` for each job: the first on this thread, each other on a helper thread.
+
+    ``pool(squares)`` waits until every job has passed its own 1-D array and
+    returns their sum, added in job order.  Returns the jobs' results once
+    every helper has ended.  A job's error aborts the pool, so that the
+    others stop at their next pooling, and is raised here; the aborted
+    pool's BrokenBarrierError only if no job failed otherwise.
+    """
+    parts, total, results, errors = [None] * len(jobs), [None], [None] * len(jobs), []
+
+    def add_parts():
+        total[0] = sum(parts)
+
+    barrier = threading.Barrier(len(jobs), action=add_parts)
+
+    def run(p):
+        def pool(squares):
+            parts[p] = squares
+            barrier.wait()
+            return total[0]
+
+        try:
+            results[p] = jobs[p](pool)
+        except BaseException as exc:  # raised again on the caller's thread below
+            errors.append(exc)
+            barrier.abort()
+
+    helpers = [threading.Thread(target=run, args=(p,)) for p in range(1, len(jobs))]
+    try:
+        for thread in helpers:
+            thread.start()
+        run(0)
+    finally:
+        if any(thread.ident is None for thread in helpers):  # one did not start
+            barrier.abort()
+        for thread in helpers:
+            if thread.is_alive():
+                thread.join()
+    if errors:
+        raise next((e for e in errors if not isinstance(e, threading.BrokenBarrierError)), errors[0])
+    return results
+
+
+def _step(c, transform, y, before, old, new, tmp):
+    """One recurrence step on arrays of one shape: new = c A_t T_{j-1} - T_{j-2}.
+
+    ``y`` holds A T_{j-1} and is scaled in place; ``before`` is T_{j-1},
+    ``old`` T_{j-2} (None at j = 1, where ``tmp`` must be ``new``).  The sum
+    is formed in ``tmp``, which may be ``new`` unless ``new`` is ``old``,
+    always in the order (c shift T_{j-1} + c scale A T_{j-1}) - T_{j-2}, so
+    a step by tiles rounds as one over the whole block.
+    """
+    y *= c * transform.scale
+    np.multiply(before, c * transform.shift, out=tmp)
+    tmp += y
+    if old is not None:
+        np.subtract(tmp, old, out=new)
+
+
+def _recurrence(a_t, v, last, d, length, consume, counter, pool=None):
     """Run T_j = T_j(A_t) V for j = 0..last, calling ``consume`` after each step.
 
     T_1 = A_t T_0 and T_j = 2 A_t T_{j-1} - T_{j-2}, with
     A_t x = scale * (A x) + shift * x and the 2 folded into scale and shift
     (exact): the package's one application of A_t.  T_j goes into row
-    j % length of a ring of ``length`` iterates.  ``consume(j, t, prev,
-    fill)`` gets T_j, T_{j-1} (None at j = 0) and, when the ring is full or
-    j = last, the ring's rows so far as a (rows, n * ell) view (else None).
+    j % length of a ring of ``length`` >= 2 iterates; a ring of two
+    overwrites T_{j-2} with T_j in place, by tiles of STEP_TILE elements
+    (see ``_step``).  ``consume(j, t, prev, fill)`` gets T_j, T_{j-1} (None
+    at j = 0) and, when the ring is full or j = last, the ring's rows so far
+    as a (rows, n * ell) view (else None).
 
     Growth rule: at each full ring and at j = last the newest iterate is
     compared with GROWTH_LIMIT * ||V||_F; if it is over (or not finite),
     the error names the first step of that fill over the limit, "of d".
     Past [-1, 1], |T_j| = cosh(j arccosh|t|) only grows, so that is the
-    first step over the limit overall.  Floating-point warnings are
-    suppressed only while the steps and ``consume`` run.
+    first step over the limit overall.  ``pool``, given for a column panel
+    of a larger start block, maps the panel's squared Frobenius norms (a
+    1-D array) to their sums over all panels, so the rule reads the whole
+    block; every panel pools at the same steps.  Floating-point warnings
+    are suppressed only while the steps and ``consume`` run.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2:
         raise ValueError(f"start block must be 2-D, got shape {v.shape}")
-    limit = GROWTH_LIMIT * np.linalg.norm(v)
 
-    def over(row):
-        return not np.linalg.norm(row) <= limit
+    def squares(rows):
+        sq = np.array([row @ row for row in rows])
+        return sq if pool is None else pool(sq)
 
+    def over(square):
+        return not math.sqrt(square) <= limit
+
+    limit = GROWTH_LIMIT * math.sqrt(squares([v.ravel(order="K")])[0])
     ring = np.empty((length,) + v.shape)
     ring[0] = v
+    flat = ring.reshape(length, v.size)
+    scratch = np.empty(min(v.size, STEP_TILE)) if length == 2 else None
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(last + 1):
             t, prev = ring[j % length], (ring[(j - 1) % length] if j else None)
             if j:
                 c = 1.0 if j == 1 else 2.0
                 y = matvec(a_t.a, prev, counter)
-                y *= c * a_t.transform.scale
-                np.multiply(prev, c * a_t.transform.shift, out=t)
-                t += y
+                if j == 1 or length > 2:
+                    _step(c, a_t.transform, y, prev, ring[(j - 2) % length] if j > 1 else None, t, t)
+                else:  # T_j replaces T_{j-2} in place, so each tile goes through scratch
+                    y, before, new = y.reshape(-1), flat[(j - 1) % length], flat[j % length]
+                    for lo in range(0, v.size, STEP_TILE):
+                        tile = slice(lo, lo + STEP_TILE)
+                        tmp = scratch[: new[tile].size]
+                        _step(c, a_t.transform, y[tile], before[tile], new[tile], new[tile], tmp)
                 del y  # before the next product allocates its own
-                if j > 1:
-                    t -= ring[(j - 2) % length]
             rows = j % length + 1
-            fill = ring[:rows].reshape(rows, v.size) if rows == length or j == last else None
+            fill = flat[:rows] if rows == length or j == last else None
             consume(j, t, prev, fill)
-            if fill is not None and over(fill[-1]):
-                step = j + 1 - rows + next(i for i, row in enumerate(fill) if over(row))
+            if fill is not None and over(squares(fill[-1:])[0]):
+                step = j + 1 - rows + next(i for i, sq in enumerate(squares(fill)) if over(sq))
                 raise RecurrenceDivergenceError(
                     f"recurrence diverged at step {step} of {d}: the iterate "
                     f"outgrew {GROWTH_LIMIT:g} times the start block, so the "

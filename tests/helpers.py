@@ -43,3 +43,11 @@ def random_spectrum_matrix(eigenvalues, rng):
     n = eigenvalues.size
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return (q * eigenvalues) @ q.T
+
+
+def force_panels(monkeypatch, panels):
+    """Make ``chebyshev_moments`` split every start block into min(panels, ell) column panels."""
+    from eigenspan import filters
+
+    monkeypatch.setattr(filters, "PANEL_ELEMENTS", 1)
+    monkeypatch.setattr(filters, "usable_cpus", lambda: panels)

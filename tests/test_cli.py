@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from importlib import resources
 
@@ -23,7 +24,7 @@ import eigenspan
 from eigenspan.cli import main
 from eigenspan import fit_slope
 
-from helpers import laplacian_1d, laplacian_2d, laplacian_eigs
+from helpers import force_panels, laplacian_1d, laplacian_2d, laplacian_eigs
 
 
 DIAG_EV = np.linspace(-1.0, 1.0, 200)
@@ -181,6 +182,27 @@ def test_ell_above_n_exits_1_with_one_line(matrices, capsys, verb):
     )
 
 
+@pytest.mark.parametrize("verb", ["solve", "baseline", "bench"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "-1", "need tol > 0, got -1.0"),
+    ("--max-restarts", "0", "need max_restarts >= 1, got 0"),
+    ("--ell", "0", "the start block has no columns"),
+    ("--ell", "20000", "the start block has 20000 columns, more than the matrix's 12 rows"),
+], ids=["tol", "max-restarts", "ell-below-1", "ell-above-n"])
+def test_solver_arguments_are_checked_before_the_count_pass(
+    matrices, capsys, monkeypatch, verb, flag, value, message
+):
+    def no_count(*args, **kwargs):
+        raise AssertionError("the count pass ran")
+
+    monkeypatch.setattr(eigenspan.cli, "estimate_count", no_count)
+    rc = main([verb, "--matrix-path", matrices["lap12"], "--a", "1.9", "--b", "2.1", flag, value])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"eigenspan {verb}: {message}\n"
+
+
 @pytest.mark.parametrize("verb", ["solve", "baseline"])
 def test_auto_ell_is_capped_at_n(matrices, tmp_path, verb):
     # All 12 eigenvalues lie inside: the m = 1 rule ceil(1.5 * n_ev_tilde) asks for 19.
@@ -204,6 +226,17 @@ def test_conditioning_nonpositive_ell_exits_1_with_one_line(matrices, capsys, el
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("eigenspan conditioning: --ell must be >= 1")
+
+
+def test_conditioning_ell_above_n_exits_1_with_one_line(matrices, capsys):
+    rc = main(["conditioning", "--matrix-path", matrices["lap12"], "--a", "1.9", "--b", "2.1",
+               "--ell", "5000"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "eigenspan conditioning: the start block has 5000 columns, more than the matrix's 12 rows\n"
+    )
 
 
 def test_conditioning_empty_m_grid_exits_1_with_one_line(matrices, capsys):
@@ -327,6 +360,43 @@ def test_count_reports_its_mv_bill(matrices, tmp_path, monkeypatch):
     assert rc == 0
     assert report["count_estimate"]["mv_exact"] == 151 * 7
     assert [spy.columns for spy in spies] == [151 * 7]
+
+
+class _LockedColumnSpy(_ColumnSpy):
+    """A ``_ColumnSpy`` that the count pass's panel threads can share; it records their ids."""
+
+    def __init__(self, csr):
+        super().__init__(csr)
+        self.lock = threading.Lock()
+        self.threads = set()
+
+    def __matmul__(self, x):
+        with self.lock:
+            self.columns += 1 if np.ndim(x) == 1 else x.shape[1]
+            self.threads.add(threading.get_ident())
+        return self.csr @ x
+
+
+def test_count_on_panels_reports_its_mv_bill(matrices, tmp_path, monkeypatch):
+    spies = []
+
+    def load_with_spy(path):
+        a = eigenspan.load_matrix_market(path)
+        spies.append(_LockedColumnSpy(a._csr))
+        a._csr = spies[-1]
+        return a
+
+    monkeypatch.setattr(eigenspan.cli, "load_matrix_market", load_with_spy)
+    force_panels(monkeypatch, 3)
+    rc, report = _run_json(
+        ["count", "--matrix-path", matrices["lap1000"], "--a", "1.9", "--b", "2.1",
+         "--spectral-bounds", "0,4", "--count-degree", "301", "--samples", "7"],
+        tmp_path / "count.json",
+    )
+    assert rc == 0
+    assert report["count_estimate"]["mv_exact"] == 151 * 7
+    assert [spy.columns for spy in spies] == [151 * 7]
+    assert len(spies[0].threads) == 3
 
 
 def test_count_and_solve_share_the_count_step(matrices, tmp_path):

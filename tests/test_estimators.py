@@ -23,7 +23,7 @@ from eigenspan import (
     theoretical_degree_bound,
 )
 from eigenspan.filters import GROWTH_LIMIT
-from helpers import diag_matrix, laplacian_2d, random_spectrum_matrix
+from helpers import diag_matrix, force_panels, laplacian_2d, random_spectrum_matrix
 
 IDENTITY_TRANSFORM = exact_transform(-1.0, 1.0)
 NARROW_WIDTH = 0.100008  # mapped width of a [1.9, 2.1] band in a [-1.696e-3, 3.998] range
@@ -206,13 +206,27 @@ def test_count_matches_the_moment_block_quadratic_form(d):
     assert est.mv_exact == math.ceil(d / 2) * samples
 
 
+@pytest.mark.parametrize("panels", [2, 3])
+def test_count_on_panels_equals_the_whole_block(monkeypatch, panels):
+    op = MappedOperator(laplacian_2d(20), exact_transform(0.0, 8.0))
+    iv = make_interval(op.transform, 0.5, 1.0)
+    force_panels(monkeypatch, 1)
+    whole = estimate_count(op, iv, d=301, samples=7, seed=2)
+    force_panels(monkeypatch, panels)
+    split = estimate_count(op, iv, d=301, samples=7, seed=2)
+    assert np.array_equal(split.per_sample, whole.per_sample)
+    assert split.n_ev_tilde == whole.n_ev_tilde
+    assert split.mv_exact == whole.mv_exact == 151 * 7
+
+
 @pytest.mark.parametrize("outside, d", [(5.0, 2000), (1.5, 60), (1.0005, 1384)])
-def test_count_stops_at_the_first_step_a_missed_eigenvalue_outgrows(outside, d):
+def test_count_stops_at_the_first_step_a_missed_eigenvalue_outgrows(monkeypatch, outside, d):
     # A mapped eigenvalue past 1 makes T_k grow like cosh(k arccosh(t)): within
     # a few steps at t = 5, after about 135 at t = 1.0005.  Growth is checked
-    # each time the 3-iterate ring fills and at k = ceil(d / 2); since T_k
+    # each time the 2-iterate ring fills and at k = ceil(d / 2); since T_k
     # only grows past 1, the count still names the first k with
-    # ||T_k(D) V||_F > GROWTH_LIMIT * ||V||_F, without a RuntimeWarning.
+    # ||T_k(D) V||_F > GROWTH_LIMIT * ||V||_F, without a RuntimeWarning, on
+    # any number of column panels.
     t_diag = np.array([outside, 0.3, -0.7, 0.9, -0.2])
     op = MappedOperator(diag_matrix(t_diag), IDENTITY_TRANSFORM)
     samples, seed = 4, 0
@@ -223,11 +237,13 @@ def test_count_stops_at_the_first_step_a_missed_eigenvalue_outgrows(outside, d):
         if np.linalg.norm(np.polynomial.chebyshev.chebval(t_diag, [0] * k + [1])[:, None] * v)
         > GROWTH_LIMIT * np.linalg.norm(v)
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(RecurrenceDivergenceError, match=f"step {first} of {d}") as excinfo:
-            estimate_count(op, mapped_interval(-0.2, 0.2), d=d, samples=samples, seed=seed)
-    assert excinfo.value.step == first
+    for panels in (1, 2, 3, 4):
+        force_panels(monkeypatch, panels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RecurrenceDivergenceError, match=f"step {first} of {d}") as excinfo:
+                estimate_count(op, mapped_interval(-0.2, 0.2), d=d, samples=samples, seed=seed)
+        assert excinfo.value.step == first
 
 
 def test_count_estimate_validation():

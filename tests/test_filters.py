@@ -8,6 +8,9 @@ frozen before the quadrature implementation was written.
 """
 
 import math
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -36,7 +39,7 @@ from eigenspan.filters import (
     cosine_series,
     panel_rule,
 )
-from helpers import diag_matrix, random_spectrum_matrix
+from helpers import diag_matrix, force_panels, random_spectrum_matrix
 from eigenspan import SparseSymmetric
 
 INTERVAL = mapped_interval(-0.2, 0.4)
@@ -392,18 +395,20 @@ def _first_step_over_the_limit(t_diag, v, steps):
     )
 
 
-def test_moments_divergence_in_mid_fill_names_its_own_step():
-    # The moments read back 3 iterates, so growth is checked at k = 2, 5, 8, ...
+def test_moments_divergence_in_mid_fill_names_its_own_step(monkeypatch):
+    # The moments keep 2 iterates, so growth is checked at k = 1, 3, 5, ...
     t_diag = np.array([1.8, 0.3, -0.6, 0.9])
     op = MappedOperator(diag_matrix(t_diag), IDENTITY_TRANSFORM)
     v = np.ones((4, 2))
     first = _first_step_over_the_limit(t_diag, v, 30)
-    assert 0 < first % 3 < 2  # strictly inside its fill
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(RecurrenceDivergenceError, match=f"step {first} of 60") as excinfo:
-            chebyshev_moments(op, v, 60)
-    assert excinfo.value.step == first
+    assert first > 0 and first % 2 == 0  # strictly inside its fill
+    for panels in (1, 2):
+        force_panels(monkeypatch, panels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RecurrenceDivergenceError, match=f"step {first} of 60") as excinfo:
+                chebyshev_moments(op, v, 60)
+        assert excinfo.value.step == first
 
 
 @pytest.mark.parametrize("outside", [1.5, 1.8, 5.0])
@@ -414,9 +419,11 @@ def test_block_and_moments_name_the_same_divergent_step(monkeypatch, outside):
     _set_batch(monkeypatch, v, 4)
     with pytest.raises(RecurrenceDivergenceError) as block:
         build_moment_block(op, v, make_filter_spec(INTERVAL, d=60, m=2))
-    with pytest.raises(RecurrenceDivergenceError) as moments:
-        chebyshev_moments(op, v, 60)
-    assert block.value.step == moments.value.step == _first_step_over_the_limit(t_diag, v, 30)
+    for panels in (1, 2, 3, 4):
+        force_panels(monkeypatch, panels)
+        with pytest.raises(RecurrenceDivergenceError) as moments:
+            chebyshev_moments(op, v, 60)
+        assert block.value.step == moments.value.step == _first_step_over_the_limit(t_diag, v, 30)
 
 
 @pytest.mark.parametrize("ell", [1, 5])
@@ -439,3 +446,134 @@ def test_chebyshev_moments_match_dense_eigendecomposition_oracle(rng, d, ell):
     assert mu.shape == (d + 1, ell)
     assert np.all(np.abs(mu - expected) <= 1e-12 * np.sum(v**2, axis=0))
     assert counter.count == math.ceil(d / 2) * ell
+
+
+def _dense_operator(rng, n):
+    """A dense-pattern matrix with spectrum in (0.1, 3.9), mapped by [0, 4]."""
+    dense = random_spectrum_matrix(rng.uniform(0.1, 3.9, size=n), rng)
+    return MappedOperator(SparseSymmetric.from_dense(dense), exact_transform(0.0, 4.0))
+
+
+def _spy_threads(monkeypatch, fail_on=None):
+    """Record the threads that apply the matrix; raise in those whose name ``fail_on`` accepts."""
+    threads, lock = set(), threading.Lock()
+    product = filters.matvec
+
+    def spy(a, x, counter=None):
+        with lock:
+            threads.add(threading.get_ident())
+        if fail_on is not None and fail_on(threading.current_thread().name):
+            raise ValueError("panel product failed")
+        return product(a, x, counter)
+
+    monkeypatch.setattr(filters, "matvec", spy)
+    return threads
+
+
+def _on_caller_thread(f, *args):
+    """``f(*args)`` on a thread named "caller" that must end within 60 s; its result or error."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = f(*args)
+        except BaseException as exc:  # handed to the test thread, which raises it
+            out["error"] = exc
+
+    caller = threading.Thread(target=run, name="caller", daemon=True)
+    caller.start()
+    caller.join(60)
+    assert not caller.is_alive(), "the panels did not end"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+@pytest.mark.parametrize("panels, ell", [(2, 2), (2, 7), (3, 3), (3, 7), (4, 4), (4, 9)])
+def test_moments_on_panels_equal_the_whole_block_bit_for_bit(rng, monkeypatch, panels, ell):
+    # ell == panels gives one-column panels; 7 and 9 give panels of unequal width.
+    op = _dense_operator(rng, 60)
+    v = rng.standard_normal((60, ell))
+    d = 41
+    force_panels(monkeypatch, 1)
+    whole = chebyshev_moments(op, v, d)
+    threads = _spy_threads(monkeypatch)
+    force_panels(monkeypatch, panels)
+    counter = MVCounter()
+    split = _on_caller_thread(chebyshev_moments, op, v, d, counter)
+    assert len(threads) == panels
+    assert np.array_equal(split, whole)
+    assert counter.count == math.ceil(d / 2) * ell
+
+
+def test_panels_under_fast_thread_switches_lose_no_update(rng, monkeypatch):
+    # Eight panel threads on any machine, switched every microsecond: a lost
+    # update to the pooled norms or the product tally would show here.
+    op = _dense_operator(rng, 50)
+    v = rng.standard_normal((50, 16))
+    force_panels(monkeypatch, 1)
+    whole = chebyshev_moments(op, v, 61)
+    force_panels(monkeypatch, 8)
+    counter = MVCounter()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = _on_caller_thread(chebyshev_moments, op, v, 61, counter)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(split, whole)
+    assert counter.count == 31 * 16
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_a_failing_panel_reaches_the_caller_and_leaves_no_thread(rng, monkeypatch, failing):
+    op = _dense_operator(rng, 40)
+    v = rng.standard_normal((40, 6))
+    _spy_threads(monkeypatch, fail_on=lambda name: (name == "caller") == (failing == "caller"))
+    force_panels(monkeypatch, 3)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="^panel product failed$"):
+        _on_caller_thread(chebyshev_moments, op, v, 40)
+    assert threading.active_count() == before
+
+
+def test_a_helper_that_cannot_start_stops_the_others(rng, monkeypatch):
+    op = _dense_operator(rng, 40)
+    v = rng.standard_normal((40, 6))
+    force_panels(monkeypatch, 3)
+    start, started = threading.Thread.start, []
+
+    def start_once(thread):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        start(thread)
+
+    def moments_with_one_helper():
+        # Patched only once the caller thread runs, so that only helpers meet it.
+        monkeypatch.setattr(threading.Thread, "start", start_once)
+        return chebyshev_moments(op, v, 40)
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        _on_caller_thread(moments_with_one_helper)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("shape, panels", [
+    ((10_000, 30), 4), ((10_000, 15), 2), ((10_000, 7), 1), ((1936, 30), 1), ((300, 30), 1),
+    ((10**6, 3), 3), ((5, 4), 1),
+])
+def test_panel_count_is_cpus_ell_and_size_bounded(monkeypatch, shape, panels):
+    monkeypatch.setattr(filters, "usable_cpus", lambda: 8)
+    bounds = filters._panel_bounds(np.empty(shape))
+    assert len(bounds) - 1 == panels
+    assert bounds[0] == 0 and bounds[-1] == shape[1]
+    assert max(np.diff(bounds)) - min(np.diff(bounds)) <= 1
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    assert 1 <= filters.usable_cpus() <= (os.cpu_count() or 1)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert filters.usable_cpus() == (os.cpu_count() or 1)
