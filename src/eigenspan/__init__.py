@@ -70,6 +70,13 @@ from .filters import (
     make_filter_spec,
     step_coefficients,
 )
+from .policy import (
+    SolvePlan,
+    count_interval,
+    plan_interval,
+    run_plan,
+    solve_interval,
+)
 from .sparse import (
     MVCounter,
     SparseSymmetric,

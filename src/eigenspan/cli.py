@@ -1,8 +1,11 @@
 """Command-line front end: solve, count, probe, baseline, bench, conditioning.
 
-Every JSON report is validated against the schema shipped next to this
-module before it is written, and runs are fully deterministic for a fixed
-seed (the only varying field is ``wall_time_s``).
+The CLI parses arguments and emits reports, and nothing else: the checks,
+count, block size, target and start block of a solve are the library's
+(``eigenspan.policy``), which the verbs call with their flags.  Every JSON
+report is validated against the schema shipped next to this module before
+it is written, and runs are fully deterministic for a fixed seed (the only
+varying field is ``wall_time_s``).
 
 Exit codes: 0 success/converged, 1 input or configuration error, 2 the
 solve finished without reaching the requested tolerance.
@@ -15,25 +18,25 @@ import math
 import sys
 import time
 from importlib import resources
-from typing import NamedTuple
 
 import numpy as np
 
-from .contour import check_node_count, check_shift_tol, run_baseline
-from .engine import check_block_width, check_stopping, run_cjssrr
-from .errors import EigenspanError
-from .estimators import estimate_count, recommended_block_size, select_degree
 from .dense import _kappa_rank
 from .diagnostics import filter_probe, probe_csv
+from .engine import check_block_width
+from .errors import EigenspanError
 from .filters import BASES, build_moment_block, make_filter_spec
-from .sparse import load_matrix_market
-from .transform import (
-    MappedOperator,
-    estimate_spectral_range,
-    exact_transform,
-    make_interval,
-    mapped_interval,
+from .policy import (
+    count_interval,
+    filter_degree,
+    locate_interval,
+    plan_interval,
+    run_plan,
+    solve_interval,
+    start_block,
 )
+from .sparse import load_matrix_market
+from .transform import MappedOperator, mapped_interval
 
 SCHEMA_VERSION = "1"
 
@@ -108,8 +111,10 @@ def _add_solver_args(p):
 
 def _add_filter_args(p):
     p.add_argument("--degree", type=_auto_or_int, default="auto", help='filter degree or "auto"')
-    p.add_argument("--d", type=float, default=1.0, help="degree-formula accuracy constant")
-    p.add_argument("--k", type=float, default=10.0, help="degree-formula width constant")
+    p.add_argument("--d", type=float, default=1.0, dest="d_factor", metavar="D",
+                   help="degree-formula accuracy constant")
+    p.add_argument("--k", type=float, default=10.0, dest="k_factor", metavar="K",
+                   help="degree-formula width constant")
     p.add_argument("--basis", choices=BASES, default="chebyshev")
 
 
@@ -149,10 +154,6 @@ def build_parser():
     _add_estimator_args(p)
     _add_solver_args(p)
     _add_baseline_args(p)
-    # No polynomial filter runs here; --count-degree auto takes the degree
-    # the filtered solver would pick at the default D and K, for comparable
-    # estimates.
-    p.set_defaults(degree="auto", d=1.0, k=10.0)
 
     p = sub.add_parser("bench", help="both methods on one V0, with the MV speedup")
     _add_matrix_args(p)
@@ -172,136 +173,65 @@ def build_parser():
 
 
 # ---------------------------------------------------------------------------
-# Shared resolution steps
+# From flags to the policy's arguments, and back to the config echo
 
 
-def _resolve_problem(args):
-    """Load the matrix, fix the spectral transform, and map the interval."""
+#: Flags the policy takes, by their argparse names.
+_POLICY_FLAGS = ("m", "ell", "degree", "d_factor", "k_factor", "basis", "count_degree", "samples",
+                 "seed", "lanczos_steps", "tol", "max_restarts", "quad_nodes", "krylov_tol")
+
+
+def _load(args):
+    """Parse the flags that need no matrix, then load it: (matrix, policy keywords)."""
     if args.lanczos_steps < 2:
         raise ValueError(f"--lanczos-steps must be >= 2, got {args.lanczos_steps}")
-    a = load_matrix_market(args.matrix_path)
-    if args.spectral_bounds == "auto":
-        steps = min(args.lanczos_steps, a.n)
-        tr = estimate_spectral_range(a, steps=steps, seed=args.seed)
-    else:
-        bounds = _float_list(args.spectral_bounds)
+    bounds = args.spectral_bounds
+    if bounds != "auto":
+        bounds = _float_list(bounds)
         if len(bounds) != 2:
             raise EigenspanError(
                 f"--spectral-bounds expects 'auto' or 'lmin,lmax', got {args.spectral_bounds!r}"
             )
-        tr = exact_transform(bounds[0], bounds[1])
-    iv = make_interval(tr, args.a, args.b)
-    return a, tr, iv
+    options = {key: getattr(args, key) for key in _POLICY_FLAGS if key in args}
+    return load_matrix_market(args.matrix_path), dict(options, bounds=bounds)
 
 
-class _Prepared(NamedTuple):
-    """What every solve-type command shares before its method runs."""
-
-    a: object
-    tr: object
-    iv: object
-    est: object
-    n_ev_target: int
-    config: dict
-    v0: np.ndarray
-
-
-def _filter_degree(args, iv):
-    """Filter degree: --degree, or the width rule with --d and --k."""
-    if args.degree == "auto":
-        return select_degree(iv.width_t, args.m, d_factor=args.d, k_factor=args.k).d
-    return args.degree
-
-
-#: Options every count and solve report echoes as given.
+#: The config echo: the count's flags as given, then the plan of a solve and of its method.
 _COUNT_ECHO = ("matrix_path", "a", "b", "samples", "seed", "spectral_bounds", "lanczos_steps")
+_PLAN_ECHO = {None: ("m", "ell", "tol", "max_restarts", "n_ev_target"),
+              "cj": ("degree", "basis"), "contour": ("quad_nodes", "krylov_tol")}
 
 
-def _count(args, a, tr, iv):
-    """Count estimate and count config echo: the step every counting verb shares.
-
-    --count-degree "auto" means the filter degree of the verb's parser
-    (``count`` and ``baseline`` fix theirs with ``set_defaults``).
-    """
-    degree = _filter_degree(args, iv) if args.count_degree == "auto" else args.count_degree
-    est = estimate_count(MappedOperator(a, tr), iv, d=degree, samples=args.samples, seed=args.seed)
+def _config(args, est, plan=None, method=None):
     config = {key: getattr(args, key) for key in _COUNT_ECHO}
-    config["count_degree"] = int(degree)
-    return est, config
+    config["count_degree"] = est.d
+    if plan is not None:
+        keys = _PLAN_ECHO[None] + _PLAN_ECHO.get(method, ())
+        config.update((key, getattr(plan, key)) for key in keys)
+    return config
 
 
-def _prepare(args):
-    """The count step plus block size, solver config echo and start block V0.
-
-    The block size uses ``n_ev_tilde`` as-is, with ``estimate_count``'s +1
-    for the damped filter's deficit; the convergence target rounds the plain
-    trace mean ``n_ev_tilde - 1``, which runs low as a count.  The auto
-    block size is capped at n, the widest start block the solvers take.
-    The solvers' own arguments are checked before the count pass runs.
-    """
-    if "quad_nodes" in args:  # the contour baseline runs last; reject its inputs first
-        check_node_count(args.quad_nodes)
-        check_shift_tol(args.krylov_tol)
-    check_stopping(args.tol, args.max_restarts)
-    a, tr, iv = _resolve_problem(args)
-    if args.ell != "auto":
-        check_block_width(a.n, args.ell)
-    est, config = _count(args, a, tr, iv)
-    n_ev_target = max(1, int(round(est.n_ev_tilde - 1.0)))
-    if args.ell == "auto":
-        ell = min(recommended_block_size(est.n_ev_tilde, args.m), a.n)
-    else:
-        ell = args.ell
-    config.update(
-        m=args.m, ell=int(ell), tol=args.tol, max_restarts=args.max_restarts,
-        n_ev_target=int(n_ev_target),
-    )
-    v0 = np.random.default_rng(args.seed).standard_normal((a.n, ell))
-    return _Prepared(a, tr, iv, est, n_ev_target, config, v0)
-
-
-def _run_filter(args, p):
-    """The filtered moment solve: (report, config echo, seconds of the solve)."""
-    degree = _filter_degree(args, p.iv)
-    spec = make_filter_spec(p.iv, degree, args.m, basis=args.basis)
-    start = time.perf_counter()
-    rep = run_cjssrr(
-        p.a, p.tr, p.iv, spec, p.v0,
-        tol=args.tol, max_restarts=args.max_restarts, n_ev_target=p.n_ev_target,
-    )
-    config = dict(p.config, degree=int(degree), basis=args.basis)
-    return rep, config, time.perf_counter() - start
-
-
-def _run_contour(args, p):
-    """The contour baseline: (report, config echo, seconds of the solve)."""
-    start = time.perf_counter()
-    rep = run_baseline(
-        p.a, p.tr, p.iv, args.m, p.v0.shape[1], p.v0,
-        q=args.quad_nodes, krylov_tol=args.krylov_tol, tol=args.tol,
-        max_restarts=args.max_restarts, n_ev_target=p.n_ev_target,
-    )
-    config = dict(p.config, quad_nodes=args.quad_nodes, krylov_tol=args.krylov_tol)
-    return rep, config, time.perf_counter() - start
-
-
-def _count_estimate_json(est):
+def _count_report_json(command, config_echo, tr, est, wall_time):
     return {
-        "n_ev_tilde": float(est.n_ev_tilde),
-        "samples": int(est.samples),
-        "per_sample": [float(x) for x in est.per_sample],
-        "seed": int(est.seed),
-        "d": int(est.d),
-        "mv_exact": int(est.mv_exact),
-    }
-
-
-def _solve_report_json(rep, command, config_echo, tr, est, wall_time):
-    body = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config_echo": config_echo,
         "spectral_range": [float(tr.lambda_min_est), float(tr.lambda_max_est)],
+        "count_estimate": {
+            "n_ev_tilde": float(est.n_ev_tilde),
+            "samples": int(est.samples),
+            "per_sample": [float(x) for x in est.per_sample],
+            "seed": int(est.seed),
+            "d": int(est.d),
+            "mv_exact": int(est.mv_exact),
+        },
+        "wall_time_s": wall_time,
+    }
+
+
+def _solve_report_json(rep, command, config_echo, tr, est, wall_time):
+    body = _count_report_json(command, config_echo, tr, est, wall_time)
+    body.update({
         "degree": int(rep.degree_used),
         "restarts": int(rep.restarts),
         "ritz": [
@@ -314,10 +244,7 @@ def _solve_report_json(rep, command, config_echo, tr, est, wall_time):
         "residual_history": [_finite_or_none(h) for h in rep.residual_history],
         "degraded_ranks": [int(r) for r in rep.degraded_ranks],
         "n_ev_target": int(rep.n_ev_target),
-        "wall_time_s": wall_time,
-    }
-    if est is not None:
-        body["count_estimate"] = _count_estimate_json(est)
+    })
     if rep.shift_stats:
         body["shift_stats"] = [
             {
@@ -350,28 +277,22 @@ def _emit_text(text, path):
 # Commands
 
 
-def _solve_one(args, command, run):
-    """Prepare, run one method, and emit its report; exit 2 if unconverged."""
+def _solve_one(args, method):
+    """Solve with one method and emit its report; exit 2 if unconverged."""
     start = time.perf_counter()
-    p = _prepare(args)
-    rep, config, _ = run(args, p)
-    report = _solve_report_json(rep, command, config, p.tr, p.est, time.perf_counter() - start)
+    a, options = _load(args)
+    rep, est, plan = solve_interval(a, args.a, args.b, method=method, **options)
+    report = _solve_report_json(rep, args.command, _config(args, est, plan, method),
+                                plan.transform, est, time.perf_counter() - start)
     _emit_json(report, args.report_path)
     return 0 if rep.converged else 2
 
 
 def cmd_count(args):
     start = time.perf_counter()
-    a, tr, iv = _resolve_problem(args)
-    est, config = _count(args, a, tr, iv)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "count",
-        "config_echo": config,
-        "spectral_range": [float(tr.lambda_min_est), float(tr.lambda_max_est)],
-        "count_estimate": _count_estimate_json(est),
-        "wall_time_s": time.perf_counter() - start,
-    }
+    a, options = _load(args)
+    tr, _, _, est = count_interval(a, args.a, args.b, **options)
+    report = _count_report_json("count", _config(args, est), tr, est, time.perf_counter() - start)
     _emit_json(report, args.report_path)
     return 0
 
@@ -396,20 +317,20 @@ def cmd_probe(args):
 
 def cmd_bench(args):
     start = time.perf_counter()
-    p = _prepare(args)
-    rep_cj, cj_config, cj_time = _run_filter(args, p)
-    rep_base, base_config, base_time = _run_contour(args, p)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "bench",
-        "config_echo": p.config,
-        "cj": _solve_report_json(rep_cj, "solve", cj_config, p.tr, p.est, cj_time),
-        "baseline": _solve_report_json(rep_base, "baseline", base_config, p.tr, p.est, base_time),
-        "speedup_mv": float(rep_base.mv_exact) / float(rep_cj.mv_exact),
-        "wall_time_s": time.perf_counter() - start,
-    }
+    a, options = _load(args)
+    plan, est = plan_interval(a, args.a, args.b, **options)
+    report = {"schema_version": SCHEMA_VERSION, "command": "bench",
+              "config_echo": _config(args, est, plan)}
+    for key, method, command in (("cj", "cj", "solve"), ("baseline", "contour", "baseline")):
+        run_start = time.perf_counter()
+        rep = run_plan(a, plan, method)
+        report[key] = _solve_report_json(rep, command, _config(args, est, plan, method),
+                                         plan.transform, est, time.perf_counter() - run_start)
+    cj, base = report["cj"], report["baseline"]
+    report["speedup_mv"] = float(base["mv_exact"]) / float(cj["mv_exact"])
+    report["wall_time_s"] = time.perf_counter() - start
     _emit_json(report, args.report_path)
-    return 0 if (rep_cj.converged and rep_base.converged) else 2
+    return 0 if (cj["converged"] and base["converged"]) else 2
 
 
 def cmd_conditioning(args):
@@ -417,19 +338,15 @@ def cmd_conditioning(args):
         raise ValueError(f"--ell must be >= 1, got {args.ell}")
     if not args.m_grid:
         raise ValueError("--m-grid must list at least one moment count")
-    a, tr, iv = _resolve_problem(args)
+    a, options = _load(args)
+    tr, iv = locate_interval(a, args.a, args.b, options["bounds"], args.lanczos_steps, args.seed)
     check_block_width(a.n, args.ell)
-    rng = np.random.default_rng(args.seed)
-    v0 = rng.standard_normal((a.n, args.ell))
+    v0 = start_block(a.n, args.ell, args.seed)
     a_t = MappedOperator(a, tr)
     lines = ["basis,M,ell,kappa,rank"]
     for basis in BASES:
         for m in args.m_grid:
-            if args.degree == "auto":
-                degree = select_degree(iv.width_t, m).d
-            else:
-                degree = args.degree
-            spec = make_filter_spec(iv, degree, m, basis=basis)
+            spec = make_filter_spec(iv, filter_degree(iv, m, args.degree), m, basis=basis)
             kappa, rank = _kappa_rank(build_moment_block(a_t, v0, spec))
             lines.append(f"{basis},{m},{args.ell},{kappa:.17g},{rank}")
     _emit_text("\n".join(lines) + "\n", args.out)
@@ -437,10 +354,10 @@ def cmd_conditioning(args):
 
 
 COMMANDS = {
-    "solve": lambda args: _solve_one(args, "solve", _run_filter),
+    "solve": lambda args: _solve_one(args, "cj"),
     "count": cmd_count,
     "probe": cmd_probe,
-    "baseline": lambda args: _solve_one(args, "baseline", _run_contour),
+    "baseline": lambda args: _solve_one(args, "contour"),
     "bench": cmd_bench,
     "conditioning": cmd_conditioning,
 }

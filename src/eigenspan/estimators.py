@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import chebyshev_moments, make_filter_spec
+from .filters import check_degree, chebyshev_moments, make_filter_spec
 from .sparse import MVCounter
 
 PI2 = math.pi**2
@@ -135,8 +135,7 @@ def estimate_count(a_t, iv, d=2000, samples=30, seed=0):
     """
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
-    if d < 2:
-        raise ValueError(f"need degree >= 2, got {d}")
+    check_degree(d)
     rng = np.random.default_rng(seed)
     n = a_t.a.n
     v = rng.integers(0, 2, size=(n, samples)).astype(np.float64) * 2.0 - 1.0

@@ -250,10 +250,17 @@ class FilterSpec:
         return w
 
 
+def check_degree(d):
+    """Reject a filter degree below 2, where the damped kernel is not yet nonnegative."""
+    if d < 2:
+        raise ValueError(f"need degree >= 2, got {d}")
+
+
 def make_filter_spec(iv, d, m, basis="chebyshev"):
-    """Build the FilterSpec for m moment blocks at expansion degree d."""
+    """Build the FilterSpec for m moment blocks at expansion degree d >= 2."""
     if m < 1:
         raise ValueError(f"need at least one basis polynomial, got m = {m}")
+    check_degree(d)
     rho = jackson_factors(d)
     coeffs = _coefficient_rows(iv, basis, np.arange(m), d)
     return FilterSpec(d=d, m=m, basis=basis, rho=rho, coeffs=coeffs)

@@ -154,6 +154,18 @@ def test_missing_matrix_exits_1(capsys):
     assert "no/such/file.mtx" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bounds", ["8", "0,4,8"])
+def test_malformed_spectral_bounds_exit_1_before_the_load(capsys, bounds):
+    rc = main(["solve", "--matrix-path", "no/such/file.mtx", "--a", "0", "--b", "1",
+               "--spectral-bounds", bounds])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"eigenspan solve: --spectral-bounds expects 'auto' or 'lmin,lmax', got '{bounds}'\n"
+    )
+
+
 def test_empty_interval_exits_1(matrices, capsys):
     rc = main(["solve", "--matrix-path", matrices["diag200"], "--a", "0.5", "--b", "0.1"])
     assert rc == 1
@@ -182,39 +194,43 @@ def test_ell_above_n_exits_1_with_one_line(matrices, capsys, verb):
     )
 
 
-@pytest.mark.parametrize("verb", ["solve", "baseline", "bench"])
-@pytest.mark.parametrize("flag, value, message", [
-    ("--tol", "-1", "need tol > 0, got -1.0"),
-    ("--max-restarts", "0", "need max_restarts >= 1, got 0"),
-    ("--ell", "0", "the start block has no columns"),
-    ("--ell", "20000", "the start block has 20000 columns, more than the matrix's 12 rows"),
-], ids=["tol", "max-restarts", "ell-below-1", "ell-above-n"])
-def test_solver_arguments_are_checked_before_the_count_pass(
-    matrices, capsys, monkeypatch, verb, flag, value, message
-):
-    def no_count(*args, **kwargs):
-        raise AssertionError("the count pass ran")
+def _no_count(*args, **kwargs):
+    raise AssertionError("the count pass ran")
 
-    monkeypatch.setattr(eigenspan.cli, "estimate_count", no_count)
-    rc = main([verb, "--matrix-path", matrices["lap12"], "--a", "1.9", "--b", "2.1", flag, value])
+
+@pytest.mark.parametrize("verb", ["solve", "baseline", "bench"])
+@pytest.mark.parametrize("options, message", [
+    (["--tol", "-1"], "need tol > 0, got -1.0"),
+    (["--max-restarts", "0"], "need max_restarts >= 1, got 0"),
+    (["--ell", "0"], "the start block has no columns"),
+    (["--ell", "20000"], "the start block has 20000 columns, more than the matrix's 12 rows"),
+    (["--m", "0"], "need m >= 1, got 0"),
+    (["--m", "0", "--count-degree", "300"], "need m >= 1, got 0"),
+], ids=["tol", "max-restarts", "ell-below-1", "ell-above-n", "m-below-1", "m-below-1-count-degree"])
+def test_solver_arguments_are_checked_before_the_count_pass(
+    matrices, capsys, monkeypatch, verb, options, message
+):
+    # The count pass runs in the library entry point; patch it where that calls it.
+    monkeypatch.setattr(eigenspan.policy, "estimate_count", _no_count)
+    rc = main([verb, "--matrix-path", matrices["lap12"], "--a", "1.9", "--b", "2.1"] + options)
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
     assert captured.err == f"eigenspan {verb}: {message}\n"
 
 
-@pytest.mark.parametrize("verb", ["solve", "baseline"])
-def test_auto_ell_is_capped_at_n(matrices, tmp_path, verb):
-    # All 12 eigenvalues lie inside: the m = 1 rule ceil(1.5 * n_ev_tilde) asks for 19.
-    rc, report = _run_json(
-        [verb, "--matrix-path", matrices["lap12"], "--spectral-bounds", "0,4",
-         "--a", "0.01", "--b", "3.99", "--m", "1"],
-        tmp_path / "report.json",
-    )
-    assert 1.5 * report["count_estimate"]["n_ev_tilde"] > 12
-    assert report["config_echo"]["ell"] == 12
-    assert rc == 0
-    assert len(report["ritz"]) == 12
+@pytest.mark.parametrize("verb", ["solve", "bench"])
+@pytest.mark.parametrize("degree", ["0", "1"])
+def test_filter_degree_below_two_is_rejected_before_the_count_pass(
+    matrices, capsys, monkeypatch, verb, degree
+):
+    monkeypatch.setattr(eigenspan.policy, "estimate_count", _no_count)
+    rc = main([verb, "--matrix-path", matrices["lap12"], "--a", "1.9", "--b", "2.1",
+               "--count-degree", "300", "--degree", degree])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"eigenspan {verb}: need degree >= 2, got {degree}\n"
 
 
 @pytest.mark.parametrize("ell", ["0", "-1"])
@@ -237,6 +253,15 @@ def test_conditioning_ell_above_n_exits_1_with_one_line(matrices, capsys):
     assert captured.err == (
         "eigenspan conditioning: the start block has 5000 columns, more than the matrix's 12 rows\n"
     )
+
+
+def test_conditioning_degree_below_two_exits_1_with_one_line(matrices, capsys):
+    rc = main(["conditioning", "--matrix-path", matrices["lap12"], "--a", "1.9", "--b", "2.1",
+               "--degree", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "eigenspan conditioning: need degree >= 2, got 1\n"
 
 
 def test_conditioning_empty_m_grid_exits_1_with_one_line(matrices, capsys):
@@ -486,10 +511,7 @@ def test_bench_rejects_baseline_inputs_before_the_filter_solve(
 ):
     # Both verbs run the contour baseline after the count; its inputs are
     # rejected before the count (and so before any filter solve) starts.
-    def count(*args, **kwargs):
-        raise AssertionError("the count ran")
-
-    monkeypatch.setattr(eigenspan.cli, "estimate_count", count)
+    monkeypatch.setattr(eigenspan.policy, "estimate_count", _no_count)
     rc = main([verb, "--matrix-path", matrices["diag200"], "--a", "-0.0503", "--b", "0.0503"]
               + option)
     captured = capsys.readouterr()

@@ -196,6 +196,13 @@ def test_filter_spec_shapes():
         make_filter_spec(INTERVAL, d=30, m=0)
 
 
+@pytest.mark.parametrize("d", [0, 1])
+def test_filter_spec_rejects_degree_below_two(d):
+    # The damped kernel is nonnegative only from degree 2; the count says the same.
+    with pytest.raises(ValueError, match=f"^need degree >= 2, got {d}$"):
+        make_filter_spec(INTERVAL, d=d, m=1)
+
+
 def test_zeroth_filter_range_on_grid():
     grid = np.linspace(-1.0, 1.0, 10_000)
     for d in (10, 100, 1000):
@@ -263,12 +270,22 @@ def test_midpoint_error_decays_with_degree():
     assert errors[-1] < errors[0] / 10.0
 
 
+def any_degree_spec(d, m):
+    """The FilterSpec of make_filter_spec(INTERVAL, d, m), for any d >= 0.
+
+    make_filter_spec refuses d < 2; this keeps the recurrence's head steps
+    (d = 0 and 1) under test.
+    """
+    coeffs = np.array([step_coefficients(INTERVAL, "chebyshev", k, d) for k in range(m)])
+    return FilterSpec(d=d, m=m, basis="chebyshev", rho=jackson_factors(d), coeffs=coeffs)
+
+
 @pytest.mark.parametrize("d", [0, 1, 2, 60])
 def test_moment_block_matches_scalar_filter_on_diagonal(rng, d):
     t_diag = rng.uniform(-0.95, 0.95, size=40)
     a = diag_matrix(t_diag)
     op = MappedOperator(a, IDENTITY_TRANSFORM)
-    spec = make_filter_spec(INTERVAL, d=d, m=3)
+    spec = any_degree_spec(d, m=3)
     v = rng.standard_normal((40, 5))
     block = build_moment_block(op, v, spec)
     for k in range(3):
@@ -314,7 +331,7 @@ def test_moment_block_is_linear_in_the_polynomial(rng):
 def test_moment_block_mv_accounting(rng, d):
     a = diag_matrix(rng.uniform(-0.5, 0.5, size=30))
     op = MappedOperator(a, IDENTITY_TRANSFORM)
-    spec = make_filter_spec(INTERVAL, d=d, m=4)
+    spec = any_degree_spec(d, m=4)
     counter = MVCounter()
     block = build_moment_block(op, rng.standard_normal((30, 6)), spec, counter)
     assert counter.count == d * 6
