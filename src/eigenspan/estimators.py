@@ -110,7 +110,9 @@ def estimate_count(a_t, iv, d=2000, samples=30, seed=0):
     the matrix and no (n, samples) accumulation.  A probe block of
     n * samples >= 2 * PANEL_ELEMENTS elements runs as column panels on up
     to one thread per usable CPU, BLAS left at its own thread setting (see
-    ``chebyshev_moments``); the estimate is the same bit for bit.
+    ``chebyshev_moments``).  The panels share nothing until they join; the
+    estimate is the same bit for bit, and the growth of the iterates is
+    checked at every step.
 
     Parameters
     ----------
@@ -131,7 +133,7 @@ def estimate_count(a_t, iv, d=2000, samples=30, seed=0):
     RecurrenceDivergenceError
         If a recurrence iterate outgrows the start block (see
         ``chebyshev_moments``): the spectral transform misses part of the
-        spectrum.
+        spectrum.  Any panel count names the same step.
     """
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")

@@ -27,11 +27,11 @@ consume.
 ``chebyshev_moments`` splits a start block of n * ell >= 2 * PANEL_ELEMENTS
 elements into min(usable CPUs, ell, n * ell // PANEL_ELEMENTS) column
 panels, one thread each, the caller's thread included.  Each column's
-moments depend only on that column, so the panels give the moments of the
-whole block bit for bit; they pool their squared norms for the growth rule.
-These threads are the module's own: BLAS stays at its thread setting (one
-thread in the benchmark), and ``build_moment_block`` runs whole on the
-caller's thread.
+moments depend only on that column, so the panels share nothing until they
+join and give the moments of the whole block bit for bit; the growth rule
+reads the sum of their step norms after the join.  These threads are the
+module's own: BLAS stays at its thread setting (one thread in the
+benchmark), and ``build_moment_block`` runs whole on the caller's thread.
 """
 
 import functools
@@ -308,24 +308,53 @@ def build_moment_block(a_t, v, spec, counter=None):
     ------
     RecurrenceDivergenceError
         If an iterate's Frobenius norm exceeds GROWTH_LIMIT * ||V||_F or is
-        not finite.  For a spectrum inside [-1, 1], |T_j| <= 1 bounds every
-        iterate by ||V||_F, so growth means the spectral transform misses
-        part of the spectrum.  Checked on the newest iterate each time the
-        ring fills and at j = d; names the fill's first step over the limit.
+        not finite (``_check_growth``).  Checked on the newest iterate each
+        time the ring fills and at j = d; names the fill's first step over
+        the limit.
     """
+    v, limit = _start_block(v)
     w = spec.weights
-    size = np.size(v)  # n * ell
-    batch = max(3, min(BATCH_MAX, BATCH_BYTES // max(1, 8 * size)))  # float64 iterates
-    s = np.zeros((spec.m, size))
+    batch = max(3, min(BATCH_MAX, BATCH_BYTES // max(1, 8 * v.size)))  # float64 iterates
+    s = np.zeros((spec.m, v.size))
 
     def add(j, t, prev, fill):
         nonlocal s
         if fill is not None:
-            s += w[:, j + 1 - len(fill) : j + 1] @ fill
+            first = j + 1 - len(fill)
+            s += w[:, first : j + 1] @ fill
+            if not math.sqrt(fill[-1] @ fill[-1]) <= limit:  # the newest iterate first
+                _check_growth([row @ row for row in fill], limit, first, spec.d)
 
-    _recurrence(a_t, v, spec.d, spec.d, batch, add, counter)
-    n, ell = np.shape(v)
+    _recurrence(a_t, v, spec.d, batch, add, counter)
+    n, ell = v.shape
     return s.reshape(spec.m, n, ell).transpose(1, 0, 2).reshape(n, spec.m * ell)
+
+
+def _start_block(v):
+    """``v`` as a float64 (n, ell) array, and GROWTH_LIMIT * ||V||_F: the growth rule's limit."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 2:
+        raise ValueError(f"start block must be 2-D, got shape {v.shape}")
+    flat = v.ravel(order="K")
+    return v, GROWTH_LIMIT * math.sqrt(flat @ flat)
+
+
+def _check_growth(squares, limit, first, d):
+    """The growth rule: raise naming the first j, "of d", where ||T_j(A_t) V||_F is over ``limit``.
+
+    ``squares[i]`` is ||T_j(A_t) V||_F^2 for j = first + i; a norm that is
+    not finite is over.  Inside [-1, 1], |T_j| <= 1 bounds every iterate by
+    ||V||_F, so growth means the spectral transform misses part of the
+    spectrum; past it, |T_j| = cosh(j arccosh|t|) only grows.
+    """
+    for step, square in enumerate(squares, first):
+        if not math.sqrt(square) <= limit:
+            raise RecurrenceDivergenceError(
+                f"recurrence diverged at step {step} of {d}: the iterate "
+                f"outgrew {GROWTH_LIMIT:g} times the start block, so the "
+                "spectral transform does not enclose the spectrum",
+                step,
+            )
 
 
 def usable_cpus():
@@ -337,12 +366,11 @@ def usable_cpus():
 
 
 def _panel_bounds(v):
-    """Column bounds of the panels of start block ``v``; widths differ by at most one.
+    """Column bounds of max(1, min(usable CPUs, ell, n * ell // PANEL_ELEMENTS)) panels of ``v``.
 
-    min(usable CPUs, ell, n * ell // PANEL_ELEMENTS) panels, at least one; a
-    ``v`` that is not 2-D gets one, for ``_recurrence`` to reject.
+    Panel widths differ by at most one.
     """
-    n, ell = np.shape(v) if np.ndim(v) == 2 else (0, 1)
+    n, ell = v.shape
     panels = max(1, min(usable_cpus(), ell, n * ell // PANEL_ELEMENTS))
     return [ell * p // panels for p in range(panels + 1)]
 
@@ -363,11 +391,12 @@ def chebyshev_moments(a_t, v, d, counter=None):
 
     Each column's moments depend only on that column, so an n-by-ell block
     runs as min(usable CPUs, ell, n * ell // PANEL_ELEMENTS) column panels
-    (``usable_cpus``): the caller's thread runs the first panel's recurrence
-    and one helper thread each runs the others.  The moments equal those of
-    the block run whole, bit for bit; below 2 * PANEL_ELEMENTS elements, or
-    on one CPU, the block runs whole on the caller's thread.  The threads
-    leave BLAS's own thread count as it is.
+    (``usable_cpus``) that share nothing until they join: the caller's
+    thread runs the first panel's recurrence and one helper thread each
+    runs the others.  The moments equal those of the block run whole, bit
+    for bit; below 2 * PANEL_ELEMENTS elements, or on one CPU, the block
+    runs whole on the caller's thread.  The threads leave BLAS's own thread
+    count as it is.
 
     Parameters
     ----------
@@ -386,80 +415,72 @@ def chebyshev_moments(a_t, v, d, counter=None):
     ------
     RecurrenceDivergenceError
         If ||T_k(A_t) V||_F, k <= K, exceeds GROWTH_LIMIT * ||V||_F or is
-        not finite: checked as in ``build_moment_block``, on a ring of two
-        iterates, with the norms of all panels pooled, so every panel count
-        names the same step k "of d".  An error in any panel is raised here
-        once every helper thread has ended.
+        not finite (``_check_growth``), at any step; named "of d".  A panel
+        stops at the first step where its own norm is over the limit (so is
+        the block's); after the join, the panels' squared norms are added in
+        panel order over the steps all ran, so any panel count names the
+        same step.  Otherwise the first failing panel's error is raised.
     """
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
+    v, limit = _start_block(v)
     bounds = _panel_bounds(v)
-    if len(bounds) == 2:
-        return _moments(a_t, v, d, counter)
-    v = np.asarray(v, dtype=np.float64)
     counters = [MVCounter() for _ in bounds[1:]]
-    jobs = [
-        functools.partial(_moments, a_t, v[:, lo:hi], d, c)
+    mu, squares = zip(*_run_panels([
+        functools.partial(_moments, a_t, v[:, lo:hi], d, limit, c, v.shape[1] > 1)
         for lo, hi, c in zip(bounds, bounds[1:], counters)
-    ]
-    mu = _run_panels(jobs)
+    ]))
     if counter is not None:
         counter.add(sum(c.count for c in counters))
+    steps = min(map(len, squares))  # a panel that stopped did so at a step over the limit
+    with np.errstate(over="ignore"):
+        _check_growth(sum(sq[:steps] for sq in squares), limit, 0, d)
     return np.concatenate(mu, axis=1)
 
 
-def _moments(a_t, v, d, counter, pool=None):
-    """``chebyshev_moments`` of ``v`` on this thread; ``pool`` as in ``_recurrence``."""
-    mu = []  # mu[j] for j = 0..2K, appended in order
+def _moments(a_t, v, d, limit, counter, wide):
+    """``v``'s moments and squared norm at each step, to the first over ``limit``; on this thread.
+
+    ``wide`` says that ``v``'s columns belong to a block of two or more.
+    """
+    mu, squares = [], []  # mu[j] for j = 0..2K and squares[k] for k = 0..K, appended in order
 
     def dots(x, y):
         # einsum adds up two or more columns row by row but a lone column in
         # vector partial sums; a one-column panel of a wider block takes the
         # running sum, which adds row by row, to match its column of the block.
-        if pool is None or x.shape[1] > 1:
+        if not wide or x.shape[1] > 1:
             return np.einsum("ij,ij->j", x, y)
         return np.cumsum(x[:, 0] * y[:, 0])[-1:]
 
     def add(k, t, prev, fill):
         square = dots(t, t)
+        squares.append(square.sum())
         if k == 0:
             mu.append(square)
-            return
-        cross = dots(t, prev)
-        mu.append(cross if k == 1 else 2.0 * cross - mu[1])
-        mu.append(2.0 * square - mu[0])
+        else:
+            cross = dots(t, prev)
+            mu.append(cross if k == 1 else 2.0 * cross - mu[1])
+            mu.append(2.0 * square - mu[0])
+        return not math.sqrt(squares[-1]) <= limit
 
-    _recurrence(a_t, v, (d + 1) // 2, d, 2, add, counter, pool)
-    return np.stack(mu)[: d + 1]
+    _recurrence(a_t, v, (d + 1) // 2, 2, add, counter)
+    return np.stack(mu)[: d + 1], np.array(squares)
 
 
 def _run_panels(jobs):
-    """Call ``job(pool)`` for each job: the first on this thread, each other on a helper thread.
+    """Call each job: the first on this thread, each other on a helper thread.
 
-    ``pool(squares)`` waits until every job has passed its own 1-D array and
-    returns their sum, added in job order.  Returns the jobs' results once
-    every helper has ended.  A job's error aborts the pool, so that the
-    others stop at their next pooling, and is raised here; the aborted
-    pool's BrokenBarrierError only if no job failed otherwise.
+    Returns the jobs' results once every helper has ended, or raises the
+    error of the first job that failed.
     """
-    parts, total, results, errors = [None] * len(jobs), [None], [None] * len(jobs), []
-
-    def add_parts():
-        total[0] = sum(parts)
-
-    barrier = threading.Barrier(len(jobs), action=add_parts)
+    results, errors = [None] * len(jobs), [None] * len(jobs)
 
     def run(p):
-        def pool(squares):
-            parts[p] = squares
-            barrier.wait()
-            return total[0]
-
         try:
-            results[p] = jobs[p](pool)
+            results[p] = jobs[p]()
         except BaseException as exc:  # raised again on the caller's thread below
-            errors.append(exc)
-            barrier.abort()
+            errors[p] = exc
 
     helpers = [threading.Thread(target=run, args=(p,)) for p in range(1, len(jobs))]
     try:
@@ -467,13 +488,12 @@ def _run_panels(jobs):
             thread.start()
         run(0)
     finally:
-        if any(thread.ident is None for thread in helpers):  # one did not start
-            barrier.abort()
         for thread in helpers:
             if thread.is_alive():
                 thread.join()
-    if errors:
-        raise next((e for e in errors if not isinstance(e, threading.BrokenBarrierError)), errors[0])
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return results
 
 
@@ -493,8 +513,8 @@ def _step(c, transform, y, before, old, new, tmp):
         np.subtract(tmp, old, out=new)
 
 
-def _recurrence(a_t, v, last, d, length, consume, counter, pool=None):
-    """Run T_j = T_j(A_t) V for j = 0..last, calling ``consume`` after each step.
+def _recurrence(a_t, v, last, length, consume, counter):
+    """Run T_j = T_j(A_t) V for j = 0..last, V from ``_start_block``; ``consume`` after each step.
 
     T_1 = A_t T_0 and T_j = 2 A_t T_{j-1} - T_{j-2}, with
     A_t x = scale * (A x) + shift * x and the 2 folded into scale and shift
@@ -503,30 +523,10 @@ def _recurrence(a_t, v, last, d, length, consume, counter, pool=None):
     overwrites T_{j-2} with T_j in place, by tiles of STEP_TILE elements
     (see ``_step``).  ``consume(j, t, prev, fill)`` gets T_j, T_{j-1} (None
     at j = 0) and, when the ring is full or j = last, the ring's rows so far
-    as a (rows, n * ell) view (else None).
-
-    Growth rule: at each full ring and at j = last the newest iterate is
-    compared with GROWTH_LIMIT * ||V||_F; if it is over (or not finite),
-    the error names the first step of that fill over the limit, "of d".
-    Past [-1, 1], |T_j| = cosh(j arccosh|t|) only grows, so that is the
-    first step over the limit overall.  ``pool``, given for a column panel
-    of a larger start block, maps the panel's squared Frobenius norms (a
-    1-D array) to their sums over all panels, so the rule reads the whole
-    block; every panel pools at the same steps.  Floating-point warnings
-    are suppressed only while the steps and ``consume`` run.
+    as a (rows, n * ell) view (else None); a true result ends the run after
+    step j.  Floating-point warnings are suppressed only while the steps and
+    ``consume`` run.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 2:
-        raise ValueError(f"start block must be 2-D, got shape {v.shape}")
-
-    def squares(rows):
-        sq = np.array([row @ row for row in rows])
-        return sq if pool is None else pool(sq)
-
-    def over(square):
-        return not math.sqrt(square) <= limit
-
-    limit = GROWTH_LIMIT * math.sqrt(squares([v.ravel(order="K")])[0])
     ring = np.empty((length,) + v.shape)
     ring[0] = v
     flat = ring.reshape(length, v.size)
@@ -548,12 +548,5 @@ def _recurrence(a_t, v, last, d, length, consume, counter, pool=None):
                 del y  # before the next product allocates its own
             rows = j % length + 1
             fill = flat[:rows] if rows == length or j == last else None
-            consume(j, t, prev, fill)
-            if fill is not None and over(squares(fill[-1:])[0]):
-                step = j + 1 - rows + next(i for i, sq in enumerate(squares(fill)) if over(sq))
-                raise RecurrenceDivergenceError(
-                    f"recurrence diverged at step {step} of {d}: the iterate "
-                    f"outgrew {GROWTH_LIMIT:g} times the start block, so the "
-                    "spectral transform does not enclose the spectrum",
-                    step,
-                )
+            if consume(j, t, prev, fill):
+                return

@@ -11,6 +11,7 @@ import math
 import os
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -443,6 +444,31 @@ def test_block_and_moments_name_the_same_divergent_step(monkeypatch, outside):
         assert block.value.step == moments.value.step == _first_step_over_the_limit(t_diag, v, 30)
 
 
+@pytest.mark.parametrize("outside, d, scales", [
+    (1.5, 60, [1e3, 1e-2, 1.0, 1.0]),
+    # Near the top of the float range, so the panels' squared norms
+    # overflow when they are added up after the join.
+    (5.0, 2000, [1.1e152, 1.0, 2.7e134, 2.7e134]),
+])
+def test_moments_name_the_whole_block_step_on_any_panel_count(monkeypatch, outside, d, scales):
+    # Columns 0 and 1 have no weight on the escaping eigenvalue, so their
+    # panel runs to the end while the others stop; a limit per panel would
+    # name a much earlier step, since column 0 sets most of ||V||_F.
+    t_diag = np.array([outside, 0.3, -0.6, 0.9, -0.2])
+    op = MappedOperator(diag_matrix(t_diag), IDENTITY_TRANSFORM)
+    pattern = np.array([[0, 0, 1, -1], [1, -1, 1, 1], [-1, 1, -1, 1], [1, 1, 1, -1], [1, -1, -1, -1]])
+    v = pattern * np.array(scales)
+    with np.errstate(invalid="ignore", over="ignore"):  # T_j(5) overflows in the oracle
+        first = _first_step_over_the_limit(t_diag, v, (d + 1) // 2)
+    for panels in (1, 2, 3, 4):
+        force_panels(monkeypatch, panels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RecurrenceDivergenceError, match=f"step {first} of {d}:") as excinfo:
+                chebyshev_moments(op, v, d)
+        assert excinfo.value.step == first
+
+
 @pytest.mark.parametrize("ell", [1, 5])
 @pytest.mark.parametrize("d", [0, 1, 2, 3, 300, 301])
 def test_chebyshev_moments_match_dense_eigendecomposition_oracle(rng, d, ell):
@@ -472,14 +498,19 @@ def _dense_operator(rng, n):
 
 
 def _spy_threads(monkeypatch, fail_on=None):
-    """Record the threads that apply the matrix; raise in those whose name ``fail_on`` accepts."""
+    """Record the threads that apply the matrix; raise in those whose name ``fail_on`` accepts.
+
+    Thread objects, not idents: a helper that has ended may hand its ident
+    to the next one.
+    """
     threads, lock = set(), threading.Lock()
     product = filters.matvec
 
     def spy(a, x, counter=None):
+        thread = threading.current_thread()
         with lock:
-            threads.add(threading.get_ident())
-        if fail_on is not None and fail_on(threading.current_thread().name):
+            threads.add(thread)
+        if fail_on is not None and fail_on(thread.name):
             raise ValueError("panel product failed")
         return product(a, x, counter)
 
@@ -525,7 +556,8 @@ def test_moments_on_panels_equal_the_whole_block_bit_for_bit(rng, monkeypatch, p
 
 def test_panels_under_fast_thread_switches_lose_no_update(rng, monkeypatch):
     # Eight panel threads on any machine, switched every microsecond: a lost
-    # update to the pooled norms or the product tally would show here.
+    # update to a panel's moments or step norms, or to the product tally,
+    # would show here.
     op = _dense_operator(rng, 50)
     v = rng.standard_normal((50, 16))
     force_panels(monkeypatch, 1)
@@ -554,7 +586,25 @@ def test_a_failing_panel_reaches_the_caller_and_leaves_no_thread(rng, monkeypatc
     assert threading.active_count() == before
 
 
-def test_a_helper_that_cannot_start_stops_the_others(rng, monkeypatch):
+def test_every_panel_failing_raises_the_first_panels_error(rng, monkeypatch):
+    # The caller's thread runs panel 0 and fails last, after the helpers.
+    op = _dense_operator(rng, 40)
+    v = rng.standard_normal((40, 6))
+
+    def spy(a, x, counter=None):
+        name = threading.current_thread().name
+        if name == "caller":
+            time.sleep(0.05)
+        raise ValueError(f"product failed on {name}")
+
+    monkeypatch.setattr(filters, "matvec", spy)
+    force_panels(monkeypatch, 3)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="^product failed on caller$"):
+            _on_caller_thread(chebyshev_moments, op, v, 40)
+
+
+def test_a_helper_that_cannot_start_is_raised_once_the_started_one_ends(rng, monkeypatch):
     op = _dense_operator(rng, 40)
     v = rng.standard_normal((40, 6))
     force_panels(monkeypatch, 3)
