@@ -106,13 +106,15 @@ def estimate_count(a_t, iv, d=2000, samples=30, seed=0):
         T_{2k} = 2 T_k^2 - T_0,    T_{2k+1} = 2 T_{k+1} T_k - T_1
 
     (Weisse, Wellein, Alvermann & Fehske, Rev. Mod. Phys. 78, 275 (2006),
-    Sec. II.D), so the estimate costs ceil(d / 2) * samples products with
-    the matrix and no (n, samples) accumulation.  A probe block of
-    n * samples >= 2 * PANEL_ELEMENTS elements runs as column panels on up
-    to one thread per usable CPU, BLAS left at its own thread setting (see
-    ``chebyshev_moments``).  The panels share nothing until they join; the
-    estimate is the same bit for bit, and the growth of the iterates is
-    checked at every step.
+    Sec. II.D), so the estimate costs ceil(d / 2) * samples products and no
+    (n, samples) accumulation.  The products are with the prescaled
+    2 A_t = ``a_t.doubled()``, one more CSR copy of A held for the call, and
+    the recurrence keeps a ring of two iterates with no tiles.  A probe
+    block of n * samples >= 2 * PANEL_ELEMENTS elements runs as column
+    panels on up to one thread per usable CPU, BLAS left at its own thread
+    setting (see ``chebyshev_moments``).  The panels share only 2 A_t until
+    they join; the estimate is the same bit for bit on any panel count, and
+    the growth of the iterates is checked at every step.
 
     Parameters
     ----------

@@ -22,16 +22,19 @@ node and frequency.  This module holds the package's one quadrature
 rule (``panel_rule``), its one series evaluator (``cosine_series``), its
 one basis evaluator (``basis_values``) and its one Chebyshev recurrence
 (``_recurrence``), which ``build_moment_block`` and ``chebyshev_moments``
-consume.
+consume: the block maps each product with A onto A_t in a ring of three or
+more iterates, and the count multiplies by its prescaled 2 A_t in a ring of
+two with no tiles, one product and one subtraction in place per step.
 
 ``chebyshev_moments`` splits a start block of n * ell >= 2 * PANEL_ELEMENTS
 elements into min(usable CPUs, ell, n * ell // PANEL_ELEMENTS) column
 panels, one thread each, the caller's thread included.  Each column's
-moments depend only on that column, so the panels share nothing until they
-join and give the moments of the whole block bit for bit; the growth rule
-reads the sum of their step norms after the join.  These threads are the
-module's own: BLAS stays at its thread setting (one thread in the
-benchmark), and ``build_moment_block`` runs whole on the caller's thread.
+moments depend only on that column, so the panels share nothing but the
+read-only 2 A_t until they join and give the moments of the whole block bit
+for bit; the growth rule reads the sum of their step norms after the join.
+These threads are the module's own: BLAS stays at its thread setting (one
+thread in the benchmark), and ``build_moment_block`` runs whole on the
+caller's thread.
 """
 
 import functools
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RecurrenceDivergenceError
-from .sparse import MVCounter, matvec
+from .sparse import MVCounter, SparseSymmetric, matvec
 
 BASES = ("chebyshev", "scaled", "monomial")
 
@@ -65,9 +68,6 @@ BATCH_MAX = 16
 GROWTH_LIMIT = 16.0
 #: Start-block elements (n * ell) per column panel of ``chebyshev_moments``.
 PANEL_ELEMENTS = 2**16
-#: Elements per tile of a recurrence step that overwrites its oldest iterate
-#: in place; the step's scratch holds one tile.
-STEP_TILE = 2**15
 
 
 def jackson_factors(d):
@@ -387,16 +387,17 @@ def chebyshev_moments(a_t, v, d, counter=None):
         mu_{2k - 1} = 2 <T_k v, T_{k-1} v> - mu_1,
 
     with mu_0 = <v, v> and mu_1 = <T_1 v, v>.  No filtered block is
-    accumulated, and the recurrence keeps two iterates.
+    accumulated.  The recurrence multiplies by 2 A_t = ``a_t.doubled()``,
+    built once per call, and keeps a ring of two iterates, each written in
+    place over T_{k-2} (``_recurrence``).
 
     Each column's moments depend only on that column, so an n-by-ell block
     runs as min(usable CPUs, ell, n * ell // PANEL_ELEMENTS) column panels
-    (``usable_cpus``) that share nothing until they join: the caller's
-    thread runs the first panel's recurrence and one helper thread each
-    runs the others.  The moments equal those of the block run whole, bit
-    for bit; below 2 * PANEL_ELEMENTS elements, or on one CPU, the block
-    runs whole on the caller's thread.  The threads leave BLAS's own thread
-    count as it is.
+    (``usable_cpus``) that share only 2 A_t until they join: the caller's
+    thread runs the first panel and one helper thread each runs the others.
+    The moments equal those of the block run whole, bit for bit; below
+    2 * PANEL_ELEMENTS elements, or on one CPU, the block runs whole on the
+    caller's thread.  The threads leave BLAS's own thread count as it is.
 
     Parameters
     ----------
@@ -405,7 +406,7 @@ def chebyshev_moments(a_t, v, d, counter=None):
     d : int
         Highest moment, d >= 0.
     counter : MVCounter, optional
-        Charged the K * ell products, from the caller's thread.
+        Charged the K * ell products with 2 A_t, from the caller's thread.
 
     Returns
     -------
@@ -426,8 +427,9 @@ def chebyshev_moments(a_t, v, d, counter=None):
     v, limit = _start_block(v)
     bounds = _panel_bounds(v)
     counters = [MVCounter() for _ in bounds[1:]]
+    doubled = a_t.doubled()
     mu, squares = zip(*_run_panels([
-        functools.partial(_moments, a_t, v[:, lo:hi], d, limit, c, v.shape[1] > 1)
+        functools.partial(_moments, doubled, v[:, lo:hi], d, limit, c, v.shape[1] > 1)
         for lo, hi, c in zip(bounds, bounds[1:], counters)
     ]))
     if counter is not None:
@@ -438,7 +440,7 @@ def chebyshev_moments(a_t, v, d, counter=None):
     return np.concatenate(mu, axis=1)
 
 
-def _moments(a_t, v, d, limit, counter, wide):
+def _moments(doubled, v, d, limit, counter, wide):
     """``v``'s moments and squared norm at each step, to the first over ``limit``; on this thread.
 
     ``wide`` says that ``v``'s columns belong to a block of two or more.
@@ -464,7 +466,7 @@ def _moments(a_t, v, d, limit, counter, wide):
             mu.append(2.0 * square - mu[0])
         return not math.sqrt(squares[-1]) <= limit
 
-    _recurrence(a_t, v, (d + 1) // 2, 2, add, counter)
+    _recurrence(doubled, v, (d + 1) // 2, 2, add, counter)
     return np.stack(mu)[: d + 1], np.array(squares)
 
 
@@ -497,54 +499,51 @@ def _run_panels(jobs):
     return results
 
 
-def _step(c, transform, y, before, old, new, tmp):
-    """One recurrence step on arrays of one shape: new = c A_t T_{j-1} - T_{j-2}.
+def _step(c, transform, y, before, old, new):
+    """One mapped step: new = c A_t T_{j-1} - T_{j-2}, with A_t x = scale (A x) + shift x.
 
-    ``y`` holds A T_{j-1} and is scaled in place; ``before`` is T_{j-1},
-    ``old`` T_{j-2} (None at j = 1, where ``tmp`` must be ``new``).  The sum
-    is formed in ``tmp``, which may be ``new`` unless ``new`` is ``old``,
-    always in the order (c shift T_{j-1} + c scale A T_{j-1}) - T_{j-2}, so
-    a step by tiles rounds as one over the whole block.
+    ``y`` holds A T_{j-1} and is scaled in place; ``before`` is T_{j-1} and
+    ``old`` T_{j-2} (None at j = 1).  ``new`` is written before ``old`` is
+    read, so the mapped step needs a ring of three or more.
     """
     y *= c * transform.scale
-    np.multiply(before, c * transform.shift, out=tmp)
-    tmp += y
+    np.multiply(before, c * transform.shift, out=new)
+    new += y
     if old is not None:
-        np.subtract(tmp, old, out=new)
+        new -= old
 
 
-def _recurrence(a_t, v, last, length, consume, counter):
+def _recurrence(op, v, last, length, consume, counter):
     """Run T_j = T_j(A_t) V for j = 0..last, V from ``_start_block``; ``consume`` after each step.
 
-    T_1 = A_t T_0 and T_j = 2 A_t T_{j-1} - T_{j-2}, with
-    A_t x = scale * (A x) + shift * x and the 2 folded into scale and shift
-    (exact): the package's one application of A_t.  T_j goes into row
-    j % length of a ring of ``length`` >= 2 iterates; a ring of two
-    overwrites T_{j-2} with T_j in place, by tiles of STEP_TILE elements
-    (see ``_step``).  ``consume(j, t, prev, fill)`` gets T_j, T_{j-1} (None
-    at j = 0) and, when the ring is full or j = last, the ring's rows so far
-    as a (rows, n * ell) view (else None); a true result ends the run after
+    T_1 = A_t T_0 and T_j = 2 A_t T_{j-1} - T_{j-2}, T_j in row j % length
+    of a ring of ``length`` iterates.  A MappedOperator ``op`` is applied as
+    A and mapped by ``_step`` (the 2 folded into scale and shift, exact) in
+    a ring of three or more.  The prescaled 2 A_t (``MappedOperator.doubled``)
+    gives T_1 = (2 A_t) T_0 / 2 and T_j = (2 A_t) T_{j-1} - T_{j-2}, the
+    subtraction written in place over T_{j-2}, so a ring of two needs no
+    scratch.  ``consume(j, t, prev, fill)`` gets T_j, T_{j-1} (None at
+    j = 0) and, when the ring is full or j = last, the ring's rows so far as
+    a (rows, n * ell) view (else None); a true result ends the run after
     step j.  Floating-point warnings are suppressed only while the steps and
     ``consume`` run.
     """
     ring = np.empty((length,) + v.shape)
     ring[0] = v
     flat = ring.reshape(length, v.size)
-    scratch = np.empty(min(v.size, STEP_TILE)) if length == 2 else None
+    prescaled = isinstance(op, SparseSymmetric)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(last + 1):
             t, prev = ring[j % length], (ring[(j - 1) % length] if j else None)
             if j:
-                c = 1.0 if j == 1 else 2.0
-                y = matvec(a_t.a, prev, counter)
-                if j == 1 or length > 2:
-                    _step(c, a_t.transform, y, prev, ring[(j - 2) % length] if j > 1 else None, t, t)
-                else:  # T_j replaces T_{j-2} in place, so each tile goes through scratch
-                    y, before, new = y.reshape(-1), flat[(j - 1) % length], flat[j % length]
-                    for lo in range(0, v.size, STEP_TILE):
-                        tile = slice(lo, lo + STEP_TILE)
-                        tmp = scratch[: new[tile].size]
-                        _step(c, a_t.transform, y[tile], before[tile], new[tile], new[tile], tmp)
+                old = ring[(j - 2) % length] if j > 1 else None
+                y = matvec(op if prescaled else op.a, prev, counter)
+                if not prescaled:
+                    _step(1.0 if j == 1 else 2.0, op.transform, y, prev, old, t)
+                elif old is None:
+                    np.multiply(y, 0.5, out=t)
+                else:
+                    np.subtract(y, old, out=t)
                 del y  # before the next product allocates its own
             rows = j % length + 1
             fill = flat[:rows] if rows == length or j == last else None

@@ -87,11 +87,27 @@ class TargetInterval:
 class MappedOperator:
     """l(A) = scale * A + shift * I held unapplied: the matrix and its transform.
 
-    ``build_moment_block`` and ``chebyshev_moments`` apply it.
+    ``build_moment_block`` applies it through products with ``a``;
+    ``chebyshev_moments`` multiplies by its prescaled twin ``doubled()``.
     """
 
     a: SparseSymmetric
     transform: SpectralTransform
+
+    def doubled(self):
+        """2 l(A) = 2 scale A + 2 shift I as a new SparseSymmetric.
+
+        Built from ``a``'s CSR arrays, not from its scipy matrix; it holds
+        one more CSR copy of A while it lives.  Doubling is exact, so each
+        entry is twice the rounded entry of l(A); entries that come out
+        exactly zero are not stored.
+        """
+        import scipy.sparse as sp
+
+        a, tr = self.a, self.transform
+        scaled = sp.csr_matrix((2.0 * tr.scale * a.values, a.col_idx, a.row_ptr), shape=a.shape)
+        csr = scaled + 2.0 * tr.shift * sp.identity(a.n, format="csr")
+        return SparseSymmetric(a.n, csr.indptr, csr.indices, csr.data)
 
 
 def estimate_spectral_range(a, steps=50, seed=0):

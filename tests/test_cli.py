@@ -365,18 +365,36 @@ class _ColumnSpy:
         return self.csr.diagonal()
 
 
-def test_count_reports_its_mv_bill(matrices, tmp_path, monkeypatch):
-    # Two moments per product: degree 301 needs ceil(301 / 2) = 151 products
-    # per probe.  Explicit bounds keep the Lanczos range estimate out of it.
-    spies = []
+def _spy_on_count_products(monkeypatch, spy):
+    """Wrap the CSR of the loaded A and of each 2 A_t the count builds in ``spy``.
+
+    The count multiplies by its own prescaled 2 A_t (``MappedOperator.doubled``),
+    so its products reach the second list; the first sees the rest.
+    """
+    loaded, doubled = [], []
+    build = eigenspan.MappedOperator.doubled
 
     def load_with_spy(path):
         a = eigenspan.load_matrix_market(path)
-        spies.append(_ColumnSpy(a._csr))
-        a._csr = spies[-1]
+        loaded.append(spy(a._csr))
+        a._csr = loaded[-1]
         return a
 
+    def doubled_with_spy(a_t):
+        op = build(a_t)
+        doubled.append(spy(op._csr))
+        op._csr = doubled[-1]
+        return op
+
     monkeypatch.setattr(eigenspan.cli, "load_matrix_market", load_with_spy)
+    monkeypatch.setattr(eigenspan.MappedOperator, "doubled", doubled_with_spy)
+    return loaded, doubled
+
+
+def test_count_reports_its_mv_bill(matrices, tmp_path, monkeypatch):
+    # Two moments per product: degree 301 needs ceil(301 / 2) = 151 products
+    # per probe.  Explicit bounds keep the Lanczos range estimate out of it.
+    loaded, doubled = _spy_on_count_products(monkeypatch, _ColumnSpy)
     rc, report = _run_json(
         ["count", "--matrix-path", matrices["lap1000"], "--a", "1.9", "--b", "2.1",
          "--spectral-bounds", "0,4", "--count-degree", "301", "--samples", "7"],
@@ -384,7 +402,8 @@ def test_count_reports_its_mv_bill(matrices, tmp_path, monkeypatch):
     )
     assert rc == 0
     assert report["count_estimate"]["mv_exact"] == 151 * 7
-    assert [spy.columns for spy in spies] == [151 * 7]
+    assert [spy.columns for spy in doubled] == [151 * 7]
+    assert [spy.columns for spy in loaded] == [0]
 
 
 class _LockedColumnSpy(_ColumnSpy):
@@ -403,15 +422,7 @@ class _LockedColumnSpy(_ColumnSpy):
 
 
 def test_count_on_panels_reports_its_mv_bill(matrices, tmp_path, monkeypatch):
-    spies = []
-
-    def load_with_spy(path):
-        a = eigenspan.load_matrix_market(path)
-        spies.append(_LockedColumnSpy(a._csr))
-        a._csr = spies[-1]
-        return a
-
-    monkeypatch.setattr(eigenspan.cli, "load_matrix_market", load_with_spy)
+    loaded, doubled = _spy_on_count_products(monkeypatch, _LockedColumnSpy)
     force_panels(monkeypatch, 3)
     rc, report = _run_json(
         ["count", "--matrix-path", matrices["lap1000"], "--a", "1.9", "--b", "2.1",
@@ -420,8 +431,9 @@ def test_count_on_panels_reports_its_mv_bill(matrices, tmp_path, monkeypatch):
     )
     assert rc == 0
     assert report["count_estimate"]["mv_exact"] == 151 * 7
-    assert [spy.columns for spy in spies] == [151 * 7]
-    assert len(spies[0].threads) == 3
+    assert [spy.columns for spy in doubled] == [151 * 7]
+    assert len(doubled[0].threads) == 3
+    assert [spy.columns for spy in loaded] == [0]
 
 
 def test_count_and_solve_share_the_count_step(matrices, tmp_path):

@@ -469,26 +469,41 @@ def test_moments_name_the_whole_block_step_on_any_panel_count(monkeypatch, outsi
         assert excinfo.value.step == first
 
 
+class _NoReads:
+    """Stands in for ``a._csr``; any attribute read fails the test."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"read a._csr.{name}")
+
+
 @pytest.mark.parametrize("ell", [1, 5])
 @pytest.mark.parametrize("d", [0, 1, 2, 3, 300, 301])
 def test_chebyshev_moments_match_dense_eigendecomposition_oracle(rng, d, ell):
-    # A non-trivial transform, so the folded scale and shift are exercised.
+    # A non-trivial transform, so the scale and shift of 2 A_t are exercised;
+    # then the path graph's adjacency, which stores no diagonal, with a shift
+    # of exactly 0 and with one that gives 2 A_t a diagonal.
     n = 60
-    eigenvalues = rng.uniform(0.1, 3.9, size=n)
-    dense = random_spectrum_matrix(eigenvalues, rng)
-    tr = exact_transform(0.0, 4.0)
-    op = MappedOperator(SparseSymmetric.from_dense(dense), tr)
-    v = rng.standard_normal((n, ell))
-    counter = MVCounter()
-    mu = chebyshev_moments(op, v, d, counter)
+    random = random_spectrum_matrix(rng.uniform(0.1, 3.9, size=n), rng)
+    path = np.eye(n, k=1) + np.eye(n, k=-1)
+    for dense, tr in [(random, exact_transform(0.0, 4.0)),
+                      (path, exact_transform(-2.0, 2.0)), (path, exact_transform(-2.0, 3.0))]:
+        a = SparseSymmetric.from_dense(dense)
+        op = MappedOperator(a, tr)
+        csr, a._csr = a._csr, _NoReads()
+        doubled = op.doubled()
+        a._csr = csr
+        assert np.array_equal(doubled.toarray(), 2.0 * (tr.scale * dense + tr.shift * np.eye(n)))
+        v = rng.standard_normal((n, ell))
+        counter = MVCounter()
+        mu = chebyshev_moments(op, v, d, counter)
 
-    w, x = np.linalg.eigh(dense)
-    theta = np.arccos(np.clip(tr.scale * w + tr.shift, -1.0, 1.0))
-    weights = (x.T @ v) ** 2  # (n, ell): squared components of each column
-    expected = np.cos(np.outer(np.arange(d + 1), theta)) @ weights
-    assert mu.shape == (d + 1, ell)
-    assert np.all(np.abs(mu - expected) <= 1e-12 * np.sum(v**2, axis=0))
-    assert counter.count == math.ceil(d / 2) * ell
+        w, x = np.linalg.eigh(dense)
+        theta = np.arccos(np.clip(tr.scale * w + tr.shift, -1.0, 1.0))
+        weights = (x.T @ v) ** 2  # (n, ell): squared components of each column
+        expected = np.cos(np.outer(np.arange(d + 1), theta)) @ weights
+        assert mu.shape == (d + 1, ell)
+        assert np.all(np.abs(mu - expected) <= 1e-12 * np.sum(v**2, axis=0))
+        assert counter.count == math.ceil(d / 2) * ell
 
 
 def _dense_operator(rng, n):
