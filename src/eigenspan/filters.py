@@ -23,14 +23,15 @@ rule (``panel_rule``), its one series evaluator (``cosine_series``), its
 one basis evaluator (``basis_values``) and its one Chebyshev recurrence
 (``_recurrence``), which ``build_moment_block`` and ``chebyshev_moments``
 consume: the block maps each product with A onto A_t in a ring of three or
-more iterates, and the count multiplies by its prescaled 2 A_t in a ring of
-two with no tiles, one product and one subtraction in place per step.
+more iterates, and the count adds the product of its prescaled +-2 A_t into
+the older of two iterates, one in-place kernel call per step
+(``sparse.matvec_add``): no product array, no subtraction pass.
 
 ``chebyshev_moments`` splits a start block of n * ell >= 2 * PANEL_ELEMENTS
 elements into min(usable CPUs, ell, n * ell // PANEL_ELEMENTS) column
 panels, one thread each, the caller's thread included.  Each column's
 moments depend only on that column, so the panels share nothing but the
-read-only 2 A_t until they join and give the moments of the whole block bit
+read-only +-2 A_t until they join and give the moments of the whole block bit
 for bit; the growth rule reads the sum of their step norms after the join.
 These threads are the module's own: BLAS stays at its thread setting (one
 thread in the benchmark), and ``build_moment_block`` runs whole on the
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RecurrenceDivergenceError
-from .sparse import MVCounter, SparseSymmetric, matvec
+from .sparse import MVCounter, SparseSymmetric, matvec, matvec_add
 
 BASES = ("chebyshev", "scaled", "monomial")
 
@@ -388,12 +389,15 @@ def chebyshev_moments(a_t, v, d, counter=None):
 
     with mu_0 = <v, v> and mu_1 = <T_1 v, v>.  No filtered block is
     accumulated.  The recurrence multiplies by 2 A_t = ``a_t.doubled()``,
-    built once per call, and keeps a ring of two iterates, each written in
-    place over T_{k-2} (``_recurrence``).
+    built once per call, and by its negation, a second values array on the
+    same index arrays.  It keeps a ring of two iterates, and each step is
+    one in-place kernel call that adds +-2 A_t times the newer iterate into
+    the older (``_recurrence``); the iterates carry signs that the cross
+    dots undo exactly.
 
     Each column's moments depend only on that column, so an n-by-ell block
     runs as min(usable CPUs, ell, n * ell // PANEL_ELEMENTS) column panels
-    (``usable_cpus``) that share only 2 A_t until they join: the caller's
+    (``usable_cpus``) that share only +-2 A_t until they join: the caller's
     thread runs the first panel and one helper thread each runs the others.
     The moments equal those of the block run whole, bit for bit; below
     2 * PANEL_ELEMENTS elements, or on one CPU, the block runs whole on the
@@ -406,7 +410,7 @@ def chebyshev_moments(a_t, v, d, counter=None):
     d : int
         Highest moment, d >= 0.
     counter : MVCounter, optional
-        Charged the K * ell products with 2 A_t, from the caller's thread.
+        Charged the K * ell products with +-2 A_t, from the caller's thread.
 
     Returns
     -------
@@ -428,8 +432,9 @@ def chebyshev_moments(a_t, v, d, counter=None):
     bounds = _panel_bounds(v)
     counters = [MVCounter() for _ in bounds[1:]]
     doubled = a_t.doubled()
+    ops = (SparseSymmetric(doubled.n, doubled.row_ptr, doubled.col_idx, -doubled.values), doubled)
     mu, squares = zip(*_run_panels([
-        functools.partial(_moments, doubled, v[:, lo:hi], d, limit, c, v.shape[1] > 1)
+        functools.partial(_moments, ops, v[:, lo:hi], d, limit, c, v.shape[1] > 1)
         for lo, hi, c in zip(bounds, bounds[1:], counters)
     ]))
     if counter is not None:
@@ -440,10 +445,13 @@ def chebyshev_moments(a_t, v, d, counter=None):
     return np.concatenate(mu, axis=1)
 
 
-def _moments(doubled, v, d, limit, counter, wide):
+def _moments(ops, v, d, limit, counter, wide):
     """``v``'s moments and squared norm at each step, to the first over ``limit``; on this thread.
 
-    ``wide`` says that ``v``'s columns belong to a block of two or more.
+    ``ops`` is the pair (-2 A_t, 2 A_t) of ``_recurrence``, whose iterates
+    U_k = s_k T_k have s_k s_{k-1} = -1 at even k, so the cross dot is
+    negated there (exactly); squares need no sign.  ``wide`` says that
+    ``v``'s columns belong to a block of two or more.
     """
     mu, squares = [], []  # mu[j] for j = 0..2K and squares[k] for k = 0..K, appended in order
 
@@ -461,12 +469,12 @@ def _moments(doubled, v, d, limit, counter, wide):
         if k == 0:
             mu.append(square)
         else:
-            cross = dots(t, prev)
+            cross = dots(t, prev) if k % 2 else -dots(t, prev)
             mu.append(cross if k == 1 else 2.0 * cross - mu[1])
             mu.append(2.0 * square - mu[0])
         return not math.sqrt(squares[-1]) <= limit
 
-    _recurrence(doubled, v, (d + 1) // 2, 2, add, counter)
+    _recurrence(ops, v, (d + 1) // 2, 2, add, counter)
     return np.stack(mu)[: d + 1], np.array(squares)
 
 
@@ -514,36 +522,42 @@ def _step(c, transform, y, before, old, new):
 
 
 def _recurrence(op, v, last, length, consume, counter):
-    """Run T_j = T_j(A_t) V for j = 0..last, V from ``_start_block``; ``consume`` after each step.
+    """Run iterates of T_j(A_t) V, j = 0..last, V from ``_start_block``; ``consume`` each.
 
-    T_1 = A_t T_0 and T_j = 2 A_t T_{j-1} - T_{j-2}, T_j in row j % length
-    of a ring of ``length`` iterates.  A MappedOperator ``op`` is applied as
-    A and mapped by ``_step`` (the 2 folded into scale and shift, exact) in
-    a ring of three or more.  The prescaled 2 A_t (``MappedOperator.doubled``)
-    gives T_1 = (2 A_t) T_0 / 2 and T_j = (2 A_t) T_{j-1} - T_{j-2}, the
-    subtraction written in place over T_{j-2}, so a ring of two needs no
-    scratch.  ``consume(j, t, prev, fill)`` gets T_j, T_{j-1} (None at
-    j = 0) and, when the ring is full or j = last, the ring's rows so far as
-    a (rows, n * ell) view (else None); a true result ends the run after
-    step j.  Floating-point warnings are suppressed only while the steps and
-    ``consume`` run.
+    T_1 = A_t T_0 and T_j = 2 A_t T_{j-1} - T_{j-2}, the iterate of step j
+    in row j % length of a ring of ``length`` iterates.  A MappedOperator
+    ``op`` is applied as A and mapped by ``_step`` (the 2 folded into scale
+    and shift, exact) in a ring of three or more; its iterates are T_j.
+    The count passes the pair (-2 A_t, 2 A_t) of prescaled matrices
+    (``chebyshev_moments``) and a ring of two, and each of its steps is one
+    in-place kernel call (``matvec_add``).  Its iterates are
+    U_j = s_j T_j with signs s_j = +, +, -, -, +, +, ..., so that
+    U_j = U_{j-2} + (s_j / s_{j-1}) 2 A_t U_{j-1} adds the product of
+    ``op[j % 2]`` with U_{j-1} into U_{j-2}'s row, with no subtraction;
+    U_1 = (2 A_t) U_0 / 2 goes into a zeroed row.  ``consume(j, t, prev,
+    fill)`` gets the iterates of steps j and j - 1 (None at j = 0) and,
+    when the ring is full or j = last, the ring's rows so far as a
+    (rows, n * ell) view (else None); a true result ends the run after
+    step j.  Floating-point warnings are suppressed only while the steps
+    and ``consume`` run.
     """
     ring = np.empty((length,) + v.shape)
     ring[0] = v
     flat = ring.reshape(length, v.size)
-    prescaled = isinstance(op, SparseSymmetric)
+    prescaled = isinstance(op, tuple)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(last + 1):
             t, prev = ring[j % length], (ring[(j - 1) % length] if j else None)
-            if j:
-                old = ring[(j - 2) % length] if j > 1 else None
-                y = matvec(op if prescaled else op.a, prev, counter)
-                if not prescaled:
-                    _step(1.0 if j == 1 else 2.0, op.transform, y, prev, old, t)
-                elif old is None:
-                    np.multiply(y, 0.5, out=t)
-                else:
-                    np.subtract(y, old, out=t)
+            if j and prescaled:
+                if j == 1:
+                    t.fill(0.0)
+                matvec_add(op[j % 2], prev, t, counter)
+                if j == 1:
+                    t *= 0.5
+            elif j:
+                y = matvec(op.a, prev, counter)
+                _step(1.0 if j == 1 else 2.0, op.transform, y, prev,
+                      ring[(j - 2) % length] if j > 1 else None, t)
                 del y  # before the next product allocates its own
             rows = j % length + 1
             fill = flat[:rows] if rows == length or j == last else None

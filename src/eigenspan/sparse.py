@@ -8,6 +8,7 @@ mirrored on read so the stored pattern always contains both (i, j) and
 so a process that never builds a matrix never loads it.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -142,6 +143,57 @@ def matvec(a, x, counter=None):
     return a._csr @ x
 
 
+def matvec_add(a, x, out, counter=None):
+    """Add A x into ``out`` in place: one call of scipy's CSR kernel, nothing allocated.
+
+    Parameters
+    ----------
+    a : SparseSymmetric
+    x : ndarray, shape (n,) or (n, m)
+    out : ndarray
+        C-contiguous float64 array of ``x``'s shape; the kernel writes into
+        its memory, so any other ``out`` is refused rather than summed into
+        a copy.
+    counter : MVCounter, optional
+        Incremented by the number of columns of ``x``.
+    """
+    x = np.asarray(x)
+    if x.shape[0] != a.n:
+        raise ValueError(f"dimension mismatch: matrix is {a.n}x{a.n}, operand has leading size {x.shape[0]}")
+    if not (
+        isinstance(out, np.ndarray) and out.dtype == np.float64
+        and out.flags.c_contiguous and out.flags.writeable and out.shape == x.shape
+    ):
+        raise ValueError(
+            f"out must be a writeable C-contiguous float64 array of shape {x.shape}"
+        )
+    columns = 1 if x.ndim == 1 else x.shape[1]
+    try:
+        _add_product_kernel()(
+            a.n, a.n, columns, a.row_ptr, a.col_idx, a.values, x.ravel(), out.ravel()
+        )
+    except (TypeError, ValueError) as exc:
+        raise _kernel_error(f"rejected its arguments ({exc})") from None
+    if counter is not None:
+        counter.add(columns)
+
+
+def _kernel_error(problem):
+    import scipy
+
+    return RuntimeError(f"scipy {scipy.__version__}: the in-place CSR kernel csr_matvecs {problem}")
+
+
+@functools.cache
+def _add_product_kernel():
+    """scipy's private kernel Y += A X (``scipy.sparse._sparsetools.csr_matvecs``), on first use."""
+    try:
+        from scipy.sparse._sparsetools import csr_matvecs
+    except ImportError:
+        raise _kernel_error("is missing from scipy.sparse._sparsetools") from None
+    return csr_matvecs
+
+
 def _entry_position(csr, k):
     """1-based (row, column) of stored entry k of a CSR matrix."""
     return int(np.searchsorted(csr.indptr, k, side="right")), int(csr.indices[k]) + 1
@@ -248,13 +300,19 @@ def parse_matrix_market(text):
         raise MalformedFileError(f"line {size_lineno}: dimension must be positive")
     if n_entries < 0:
         raise MalformedFileError(f"line {size_lineno}: negative entry count")
-    entries = [raw for raw in lines[size_lineno:] if raw.lstrip()[:1] not in ("", "%")]
     # A count above the lines left cannot be met: refuse it before
     # ``_scan_entries`` sizes its arrays by it.
     if n_entries > len(lines) - size_lineno:
         raise MalformedFileError(
-            f"line {len(lines)}: file ends after {len(entries)} of {n_entries} declared entries"
+            f"line {len(lines)}: file ends after {sum(1 for _ in data)} of {n_entries} "
+            "declared entries"
         )
+    # Only a '%' after the size line (a comment line or a bad entry) makes
+    # the entry lines go through a filter one by one; np.loadtxt skips
+    # blank lines itself.
+    entries = lines[size_lineno:]
+    if text.count("%") > sum(line.count("%") for line in lines[:size_lineno]):
+        entries = [raw for raw in entries if raw.lstrip()[:1] != "%"]
 
     parsed = _load_entries(entries, nrows, n_entries)
     if parsed is None:
@@ -276,15 +334,20 @@ def parse_matrix_market(text):
 def _load_entries(entries, n, n_entries):
     """Bulk-parse entry lines into 0-based (rows, cols, vals), or None.
 
-    None means no lines, or lines that break a rule of ``_scan_entries`` (or
-    a stricter one of ``np.loadtxt``, which refuses ``1_0`` for 10); the
-    caller then rescans them one at a time, which names the first bad line.
+    ``entries`` may hold blank lines, which ``np.loadtxt`` skips.  None
+    means no entries, a count other than ``n_entries``, or lines that break
+    a rule of ``_scan_entries`` (or a stricter one of ``np.loadtxt``, which
+    refuses ``1_0`` for 10); the caller then rescans them one at a time,
+    which names the first bad line.
     """
-    if not entries or len(entries) != n_entries:
+    # np.loadtxt warns on lines that hold no data at all.
+    if not n_entries or not any(map(str.strip, entries)):
         return None
     try:
         parsed = np.loadtxt(entries, dtype=_ENTRY, comments=None, ndmin=1)
     except ValueError:
+        return None
+    if parsed.size != n_entries:
         return None
     rows, cols, vals = parsed["i"] - 1, parsed["j"] - 1, parsed["v"]
     in_range = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)

@@ -137,18 +137,18 @@ def estimate_spectral_range(a, steps=50, seed=0):
     q = rng.standard_normal(n)
     q /= np.linalg.norm(q)
 
-    basis = np.zeros((n, steps))
+    basis = np.zeros((steps, n))  # one basis vector per row, each contiguous
     alphas = np.zeros(steps)
     betas = np.zeros(steps)  # betas[j] couples steps j and j+1
     for j in range(steps):
-        basis[:, j] = q
+        basis[j] = q
         w = matvec(a, q)
         if j > 0:
-            w -= betas[j - 1] * basis[:, j - 1]
+            w -= betas[j - 1] * basis[j - 1]
         alphas[j] = q @ w
         w -= alphas[j] * q
         # Full reorthogonalization against every kept basis vector.
-        w -= basis[:, : j + 1] @ (basis[:, : j + 1].T @ w)
+        w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
         k = j + 1
         beta = np.linalg.norm(w)
         scale = max(1.0, np.max(np.abs(alphas[: j + 1])))

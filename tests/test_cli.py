@@ -365,36 +365,58 @@ class _ColumnSpy:
         return self.csr.diagonal()
 
 
-def _spy_on_count_products(monkeypatch, spy):
-    """Wrap the CSR of the loaded A and of each 2 A_t the count builds in ``spy``.
+class _AddSpy:
+    """Wraps ``filters.matvec_add``; counts the columns it gets and the threads that call it."""
 
-    The count multiplies by its own prescaled 2 A_t (``MappedOperator.doubled``),
-    so its products reach the second list; the first sees the rest.
+    def __init__(self, add):
+        self.add = add
+        self.columns = 0
+        self.lock = threading.Lock()
+        self.threads = set()
+
+    def __call__(self, a, x, out, counter=None):
+        with self.lock:
+            self.columns += 1 if np.ndim(x) == 1 else x.shape[1]
+            self.threads.add(threading.current_thread())
+        return self.add(a, x, out, counter)
+
+
+def _spy_on_count_products(monkeypatch):
+    """Spy on the loaded A's CSR, on ``sparse.matvec`` and on ``filters.matvec_add``.
+
+    ``sparse.matvec`` is replaced under every name an ``eigenspan`` module
+    binds it to.  The count adds each product with its prescaled +-2 A_t
+    into an iterate through ``filters.matvec_add``, so its products reach
+    the last spy.  Returns the loaded CSR spies, the list of
+    ``sparse.matvec`` calls and the ``matvec_add`` spy.
     """
-    loaded, doubled = [], []
-    build = eigenspan.MappedOperator.doubled
+    loaded, matvec_calls = [], []
+    product = eigenspan.sparse.matvec
 
     def load_with_spy(path):
         a = eigenspan.load_matrix_market(path)
-        loaded.append(spy(a._csr))
+        loaded.append(_ColumnSpy(a._csr))
         a._csr = loaded[-1]
         return a
 
-    def doubled_with_spy(a_t):
-        op = build(a_t)
-        doubled.append(spy(op._csr))
-        op._csr = doubled[-1]
-        return op
+    def matvec_spy(a, x, counter=None):
+        matvec_calls.append(threading.current_thread())
+        return product(a, x, counter)
 
     monkeypatch.setattr(eigenspan.cli, "load_matrix_market", load_with_spy)
-    monkeypatch.setattr(eigenspan.MappedOperator, "doubled", doubled_with_spy)
-    return loaded, doubled
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("eigenspan") \
+                and getattr(module, "matvec", None) is product:
+            monkeypatch.setattr(module, "matvec", matvec_spy)
+    add = _AddSpy(eigenspan.filters.matvec_add)
+    monkeypatch.setattr(eigenspan.filters, "matvec_add", add)
+    return loaded, matvec_calls, add
 
 
 def test_count_reports_its_mv_bill(matrices, tmp_path, monkeypatch):
     # Two moments per product: degree 301 needs ceil(301 / 2) = 151 products
     # per probe.  Explicit bounds keep the Lanczos range estimate out of it.
-    loaded, doubled = _spy_on_count_products(monkeypatch, _ColumnSpy)
+    loaded, matvec_calls, add = _spy_on_count_products(monkeypatch)
     rc, report = _run_json(
         ["count", "--matrix-path", matrices["lap1000"], "--a", "1.9", "--b", "2.1",
          "--spectral-bounds", "0,4", "--count-degree", "301", "--samples", "7"],
@@ -402,27 +424,13 @@ def test_count_reports_its_mv_bill(matrices, tmp_path, monkeypatch):
     )
     assert rc == 0
     assert report["count_estimate"]["mv_exact"] == 151 * 7
-    assert [spy.columns for spy in doubled] == [151 * 7]
+    assert add.columns == 151 * 7
+    assert matvec_calls == []
     assert [spy.columns for spy in loaded] == [0]
 
 
-class _LockedColumnSpy(_ColumnSpy):
-    """A ``_ColumnSpy`` that the count pass's panel threads can share; it records their ids."""
-
-    def __init__(self, csr):
-        super().__init__(csr)
-        self.lock = threading.Lock()
-        self.threads = set()
-
-    def __matmul__(self, x):
-        with self.lock:
-            self.columns += 1 if np.ndim(x) == 1 else x.shape[1]
-            self.threads.add(threading.get_ident())
-        return self.csr @ x
-
-
 def test_count_on_panels_reports_its_mv_bill(matrices, tmp_path, monkeypatch):
-    loaded, doubled = _spy_on_count_products(monkeypatch, _LockedColumnSpy)
+    loaded, matvec_calls, add = _spy_on_count_products(monkeypatch)
     force_panels(monkeypatch, 3)
     rc, report = _run_json(
         ["count", "--matrix-path", matrices["lap1000"], "--a", "1.9", "--b", "2.1",
@@ -431,8 +439,9 @@ def test_count_on_panels_reports_its_mv_bill(matrices, tmp_path, monkeypatch):
     )
     assert rc == 0
     assert report["count_estimate"]["mv_exact"] == 151 * 7
-    assert [spy.columns for spy in doubled] == [151 * 7]
-    assert len(doubled[0].threads) == 3
+    assert add.columns == 151 * 7
+    assert len(add.threads) == 3
+    assert matvec_calls == []
     assert [spy.columns for spy in loaded] == [0]
 
 

@@ -477,8 +477,11 @@ class _NoReads:
 
 
 @pytest.mark.parametrize("ell", [1, 5])
-@pytest.mark.parametrize("d", [0, 1, 2, 3, 300, 301])
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 4, 5, 41, 300, 301])
 def test_chebyshev_moments_match_dense_eigendecomposition_oracle(rng, d, ell):
+    # The count's iterates carry signs +, +, -, -, ...; d = 2..5 and 41 end
+    # the recurrence at steps 1, 2, 2, 3 and 21, so both parities of the
+    # last step, and hence of the sign the cross dots undo, meet the oracle.
     # A non-trivial transform, so the scale and shift of 2 A_t are exercised;
     # then the path graph's adjacency, which stores no diagonal, with a shift
     # of exactly 0 and with one that gives 2 A_t a diagonal.
@@ -519,17 +522,17 @@ def _spy_threads(monkeypatch, fail_on=None):
     to the next one.
     """
     threads, lock = set(), threading.Lock()
-    product = filters.matvec
+    product = filters.matvec_add
 
-    def spy(a, x, counter=None):
+    def spy(a, x, out, counter=None):
         thread = threading.current_thread()
         with lock:
             threads.add(thread)
         if fail_on is not None and fail_on(thread.name):
             raise ValueError("panel product failed")
-        return product(a, x, counter)
+        return product(a, x, out, counter)
 
-    monkeypatch.setattr(filters, "matvec", spy)
+    monkeypatch.setattr(filters, "matvec_add", spy)
     return threads
 
 
@@ -606,13 +609,13 @@ def test_every_panel_failing_raises_the_first_panels_error(rng, monkeypatch):
     op = _dense_operator(rng, 40)
     v = rng.standard_normal((40, 6))
 
-    def spy(a, x, counter=None):
+    def spy(a, x, out, counter=None):
         name = threading.current_thread().name
         if name == "caller":
             time.sleep(0.05)
         raise ValueError(f"product failed on {name}")
 
-    monkeypatch.setattr(filters, "matvec", spy)
+    monkeypatch.setattr(filters, "matvec_add", spy)
     force_panels(monkeypatch, 3)
     for _ in range(3):
         with pytest.raises(ValueError, match="^product failed on caller$"):

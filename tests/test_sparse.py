@@ -1,5 +1,8 @@
 """Matrix Market parsing, symmetric CSR storage, and counted matvec."""
 
+import re
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -235,6 +238,49 @@ def test_comments_and_blank_lines_are_skipped():
     np.testing.assert_array_equal(a.toarray(), [[2.0, 1.0], [1.0, 0.0]])
 
 
+# Comment, blank and indented lines among the entries; "3 3 4" is line 3.
+MIXED_ENTRIES = (
+    "%%MatrixMarket matrix coordinate real symmetric\n"
+    "% comment before size\n"
+    "3 3 4\n"
+    "1 1 2.0\n"
+    "\n"
+    "   % indented comment\n"
+    "  2 1 -1.0\n"
+    "%\n"
+    "\t\n"
+    "\t2 2 3.0  \n"
+    "   \n"
+    "3 3 1.0\n"
+)
+MIXED_DENSE = [[2.0, -1.0, 0.0], [-1.0, 3.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("keep_comments", [True, False])
+def test_comment_blank_and_indented_lines_among_entries_take_the_bulk_parse(monkeypatch,
+                                                                             keep_comments):
+    text = MIXED_ENTRIES
+    if not keep_comments:  # blank and indented lines only
+        text = "".join(line for line in text.splitlines(True) if not line.lstrip().startswith("%")
+                       or line.startswith("%%"))
+    monkeypatch.setattr(sparse, "_scan_entries", lambda *args: pytest.fail("line scan ran"))
+    np.testing.assert_array_equal(parse_matrix_market(text).toarray(), MIXED_DENSE)
+
+
+@pytest.mark.parametrize("count, line, message", [
+    (5, "  3 1 x", "entry is not 'int int real'"),
+    (5, "\t3 1 nan", "value is not finite"),
+    (5, "3 4 1.0", r"index \(3, 4\) outside 1..3"),
+    (5, " 3 1 1.0 % note", "entry has 5 tokens, expected 3"),
+    (4, "3 1 1.0", "more than the declared 4 entries"),
+])
+def test_a_bad_entry_after_comment_blank_and_indented_lines_names_its_line(count, line, message):
+    # Lines 13 and 14 are blank and a comment; the bad entry is line 15.
+    text = MIXED_ENTRIES.replace("3 3 4\n", f"3 3 {count}\n") + "\n% last\n" + line + "\n"
+    with pytest.raises(MalformedFileError, match=f"^line 15: {message}"):
+        parse_matrix_market(text)
+
+
 def test_write_then_parse_round_trips_csr_arrays(rng):
     dense = random_symmetric(12, rng)
     dense[np.abs(dense) < 0.6] = 0.0  # sparsify, keeping symmetry
@@ -344,3 +390,72 @@ def test_matvec_dimension_mismatch():
     a = SparseSymmetric.from_dense(np.eye(4))
     with pytest.raises(ValueError):
         matvec(a, np.zeros(5))
+
+
+def _index_dtypes(a, dtype):
+    """``a`` with its CSR index arrays in ``dtype``."""
+    a.row_ptr, a.col_idx = a.row_ptr.astype(dtype), a.col_idx.astype(dtype)
+    return a
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("shape", [(7,), (7, 1), (7, 3)])
+def test_matvec_add_adds_the_product_into_out(rng, index_dtype, shape):
+    # Small integers, so every sum is exact whatever its order.
+    dense = rng.integers(-3, 4, size=(7, 7)).astype(np.float64)
+    dense[np.abs(dense) < 2] = 0.0
+    dense = dense + dense.T
+    a = _index_dtypes(SparseSymmetric.from_dense(dense), index_dtype)
+    x = rng.integers(-5, 6, size=shape).astype(np.float64)
+    out = rng.integers(-5, 6, size=shape).astype(np.float64)
+    expected = out + dense @ x
+    counter = MVCounter()
+    assert sparse.matvec_add(a, x, out, counter) is None
+    np.testing.assert_array_equal(out, expected)
+    assert counter.count == (1 if len(shape) == 1 else shape[1])
+
+
+@pytest.mark.parametrize("out", [
+    np.zeros((8, 6))[:, ::2],  # not contiguous: a copy would take the sum
+    np.zeros((3, 8)).T,
+    np.zeros((8, 3), dtype=np.float32),
+    np.zeros((8, 2)),
+    np.zeros(24),
+], ids=["strided", "fortran", "float32", "narrow", "flat"])
+def test_matvec_add_refuses_an_out_it_cannot_write_in_place(rng, out):
+    a = SparseSymmetric.from_dense(random_symmetric(8, rng))
+    before = out.copy()
+    counter = MVCounter()
+    with pytest.raises(ValueError, match="out must be a writeable C-contiguous float64 array"):
+        sparse.matvec_add(a, rng.standard_normal((8, 3)), out, counter)
+    np.testing.assert_array_equal(out, before)
+    assert counter.count == 0
+
+
+def test_matvec_add_refuses_a_read_only_out_and_a_dimension_mismatch(rng):
+    a = SparseSymmetric.from_dense(random_symmetric(8, rng))
+    out = np.zeros((8, 3))
+    out.flags.writeable = False
+    with pytest.raises(ValueError, match="writeable"):
+        sparse.matvec_add(a, np.ones((8, 3)), out)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        sparse.matvec_add(a, np.ones((5, 3)), np.zeros((5, 3)))
+
+
+def test_matvec_add_names_the_scipy_version_when_the_kernel_fails(rng, monkeypatch):
+    import scipy
+
+    a = SparseSymmetric.from_dense(random_symmetric(8, rng))
+    version = re.escape(f"scipy {scipy.__version__}: the in-place CSR kernel csr_matvecs")
+    # Complex operands need a complex out, which the kernel refuses to fill.
+    with pytest.raises(RuntimeError, match=f"^{version} rejected its arguments") as rejected:
+        sparse.matvec_add(a, np.ones((8, 3), dtype=complex), np.zeros((8, 3)))
+    monkeypatch.setitem(sys.modules, "scipy.sparse._sparsetools", None)
+    sparse._add_product_kernel.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=f"^{version} is missing") as missing:
+            sparse.matvec_add(a, np.ones((8, 3)), np.zeros((8, 3)))
+    finally:
+        sparse._add_product_kernel.cache_clear()
+    for excinfo in (rejected, missing):
+        assert "\n" not in str(excinfo.value)
