@@ -19,13 +19,15 @@ the phase e^{i j theta} at a node theta = mid + half x factors into a panel
 factor e^{i j mid} and a reference factor e^{i j half x}; the quadrature
 builds its phase tables from these products, not from one exponential per
 node and frequency.  This module holds the package's one quadrature
-rule (``panel_rule``), its one series evaluator (``cosine_series``), its
-one basis evaluator (``basis_values``) and its one Chebyshev recurrence
-(``_recurrence``), which ``build_moment_block`` and ``chebyshev_moments``
-consume: the block maps each product with A onto A_t in a ring of three or
-more iterates, and the count adds the product of its prescaled +-2 A_t into
-the older of two iterates, one in-place kernel call per step
-(``sparse.matvec_add``): no product array, no subtraction pass.
+rule (``panel_rule``), its one series evaluator (``cosine_series``) and its
+one basis evaluator (``basis_values``).  Its two Chebyshev recurrences share
+no step arithmetic, so each consumer runs its own loop and both share only
+the start block (``_start_block``) and the growth rule (``_check_growth``):
+``build_moment_block`` maps each product with A onto A_t in a ring of three
+or more iterates, and ``_moments``, under ``chebyshev_moments``, adds the
+product of its prescaled +-2 A_t into the older of two iterates, one
+in-place kernel call per step (``sparse.matvec_add``): no product array, no
+subtraction pass.
 
 ``chebyshev_moments`` splits a start block of n * ell >= 2 * PANEL_ELEMENTS
 elements into min(usable CPUs, ell, n * ell // PANEL_ELEMENTS) column
@@ -288,8 +290,13 @@ def build_moment_block(a_t, v, spec, counter=None):
     Computes S_k = F_d(p_k)(A_t) V for k = 0..m-1 from the iterates
     T_j(A_t) V, j = 0..d, of one three-term Chebyshev recurrence on the
     mapped operator: exactly d * ell products with the original matrix for
-    an n-by-ell start block, independent of m.  Each full ring of iterates
-    (see BATCH_BYTES) goes into all m moments with one GEMM.
+    an n-by-ell start block, independent of m.  T_1 = A_t T_0 and
+    T_j = 2 A_t T_{j-1} - T_{j-2}, each product with A mapped by
+    A_t x = scale (A x) + shift x with the 2 folded into scale and shift
+    (exact).  T_j sits in row j % batch of a ring of batch >= 3 iterates
+    (see BATCH_BYTES) and is written before T_{j-2} is read.  Each full ring
+    goes into all m moments with one GEMM.  Floating-point warnings are
+    suppressed only while the steps run.
 
     Parameters
     ----------
@@ -315,19 +322,31 @@ def build_moment_block(a_t, v, spec, counter=None):
     """
     v, limit = _start_block(v)
     w = spec.weights
-    batch = max(3, min(BATCH_MAX, BATCH_BYTES // max(1, 8 * v.size)))  # float64 iterates
-    s = np.zeros((spec.m, v.size))
-
-    def add(j, t, prev, fill):
-        nonlocal s
-        if fill is not None:
-            first = j + 1 - len(fill)
-            s += w[:, first : j + 1] @ fill
-            if not math.sqrt(fill[-1] @ fill[-1]) <= limit:  # the newest iterate first
-                _check_growth([row @ row for row in fill], limit, first, spec.d)
-
-    _recurrence(a_t, v, spec.d, batch, add, counter)
     n, ell = v.shape
+    batch = max(3, min(BATCH_MAX, BATCH_BYTES // max(1, 8 * v.size)))  # float64 iterates
+    scale, shift = a_t.transform.scale, a_t.transform.shift
+    ring = np.empty((batch, n, ell))  # T_j in row j % batch
+    ring[0] = v
+    flat = ring.reshape(batch, v.size)
+    s = np.zeros((spec.m, v.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(spec.d + 1):
+            if j:
+                c = 1.0 if j == 1 else 2.0
+                prev, new = ring[(j - 1) % batch], ring[j % batch]
+                y = matvec(a_t.a, prev, counter)
+                y *= c * scale
+                np.multiply(prev, c * shift, out=new)
+                new += y
+                if j > 1:
+                    new -= ring[(j - 2) % batch]
+                del y  # before the GEMM and the next product
+            rows = j % batch + 1
+            if rows == batch or j == spec.d:
+                fill, first = flat[:rows], j + 1 - rows
+                s += w[:, first : j + 1] @ fill
+                if not math.sqrt(fill[-1] @ fill[-1]) <= limit:  # the newest iterate first
+                    _check_growth([row @ row for row in fill], limit, first, spec.d)
     return s.reshape(spec.m, n, ell).transpose(1, 0, 2).reshape(n, spec.m * ell)
 
 
@@ -392,8 +411,8 @@ def chebyshev_moments(a_t, v, d, counter=None):
     built once per call, and by its negation, a second values array on the
     same index arrays.  It keeps a ring of two iterates, and each step is
     one in-place kernel call that adds +-2 A_t times the newer iterate into
-    the older (``_recurrence``); the iterates carry signs that the cross
-    dots undo exactly.
+    the older (``_moments``); the iterates carry signs that the cross dots
+    undo exactly.
 
     Each column's moments depend only on that column, so an n-by-ell block
     runs as min(usable CPUs, ell, n * ell // PANEL_ELEMENTS) column panels
@@ -448,10 +467,16 @@ def chebyshev_moments(a_t, v, d, counter=None):
 def _moments(ops, v, d, limit, counter, wide):
     """``v``'s moments and squared norm at each step, to the first over ``limit``; on this thread.
 
-    ``ops`` is the pair (-2 A_t, 2 A_t) of ``_recurrence``, whose iterates
-    U_k = s_k T_k have s_k s_{k-1} = -1 at even k, so the cross dot is
-    negated there (exactly); squares need no sign.  ``wide`` says that
-    ``v``'s columns belong to a block of two or more.
+    Runs T_k(A_t) v, k = 0..K = ceil(d / 2), as iterates U_k = s_k T_k in a
+    ring of two, U_k in row k % 2.  With signs s_k = +, +, -, -, +, +, ...,
+    T_k = 2 A_t T_{k-1} - T_{k-2} becomes
+    U_k = U_{k-2} + (s_k / s_{k-1}) 2 A_t U_{k-1}, so each step adds the
+    product of ``ops[k % 2]`` with U_{k-1} into U_{k-2}'s row, one in-place
+    ``matvec_add`` and no subtraction; ``ops`` is the pair (-2 A_t, 2 A_t).
+    U_1 = (2 A_t) U_0 / 2 goes into a zeroed row.  Since s_k s_{k-1} = -1
+    at even k, the cross dot is negated there (exactly); squares need no
+    sign.  ``wide`` says that ``v``'s columns belong to a block of two or
+    more.  Floating-point warnings are suppressed only while the steps run.
     """
     mu, squares = [], []  # mu[j] for j = 0..2K and squares[k] for k = 0..K, appended in order
 
@@ -463,18 +488,27 @@ def _moments(ops, v, d, limit, counter, wide):
             return np.einsum("ij,ij->j", x, y)
         return np.cumsum(x[:, 0] * y[:, 0])[-1:]
 
-    def add(k, t, prev, fill):
-        square = dots(t, t)
-        squares.append(square.sum())
-        if k == 0:
-            mu.append(square)
-        else:
-            cross = dots(t, prev) if k % 2 else -dots(t, prev)
-            mu.append(cross if k == 1 else 2.0 * cross - mu[1])
-            mu.append(2.0 * square - mu[0])
-        return not math.sqrt(squares[-1]) <= limit
-
-    _recurrence(ops, v, (d + 1) // 2, 2, add, counter)
+    ring = np.empty((2,) + v.shape)  # U_k in row k % 2
+    ring[0] = v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range((d + 1) // 2 + 1):
+            t, prev = ring[k % 2], ring[(k - 1) % 2]
+            if k == 1:  # U_1 = (2 A_t) U_0 / 2, into a zeroed row
+                t.fill(0.0)
+                matvec_add(ops[1], prev, t, counter)
+                t *= 0.5
+            elif k:  # U_k = U_{k-2} + ops[k % 2] U_{k-1}, added in place
+                matvec_add(ops[k % 2], prev, t, counter)
+            square = dots(t, t)
+            squares.append(square.sum())
+            if k == 0:
+                mu.append(square)
+            else:
+                cross = dots(t, prev) if k % 2 else -dots(t, prev)
+                mu.append(cross if k == 1 else 2.0 * cross - mu[1])
+                mu.append(2.0 * square - mu[0])
+            if not math.sqrt(squares[-1]) <= limit:
+                break
     return np.stack(mu)[: d + 1], np.array(squares)
 
 
@@ -506,60 +540,3 @@ def _run_panels(jobs):
             raise exc
     return results
 
-
-def _step(c, transform, y, before, old, new):
-    """One mapped step: new = c A_t T_{j-1} - T_{j-2}, with A_t x = scale (A x) + shift x.
-
-    ``y`` holds A T_{j-1} and is scaled in place; ``before`` is T_{j-1} and
-    ``old`` T_{j-2} (None at j = 1).  ``new`` is written before ``old`` is
-    read, so the mapped step needs a ring of three or more.
-    """
-    y *= c * transform.scale
-    np.multiply(before, c * transform.shift, out=new)
-    new += y
-    if old is not None:
-        new -= old
-
-
-def _recurrence(op, v, last, length, consume, counter):
-    """Run iterates of T_j(A_t) V, j = 0..last, V from ``_start_block``; ``consume`` each.
-
-    T_1 = A_t T_0 and T_j = 2 A_t T_{j-1} - T_{j-2}, the iterate of step j
-    in row j % length of a ring of ``length`` iterates.  A MappedOperator
-    ``op`` is applied as A and mapped by ``_step`` (the 2 folded into scale
-    and shift, exact) in a ring of three or more; its iterates are T_j.
-    The count passes the pair (-2 A_t, 2 A_t) of prescaled matrices
-    (``chebyshev_moments``) and a ring of two, and each of its steps is one
-    in-place kernel call (``matvec_add``).  Its iterates are
-    U_j = s_j T_j with signs s_j = +, +, -, -, +, +, ..., so that
-    U_j = U_{j-2} + (s_j / s_{j-1}) 2 A_t U_{j-1} adds the product of
-    ``op[j % 2]`` with U_{j-1} into U_{j-2}'s row, with no subtraction;
-    U_1 = (2 A_t) U_0 / 2 goes into a zeroed row.  ``consume(j, t, prev,
-    fill)`` gets the iterates of steps j and j - 1 (None at j = 0) and,
-    when the ring is full or j = last, the ring's rows so far as a
-    (rows, n * ell) view (else None); a true result ends the run after
-    step j.  Floating-point warnings are suppressed only while the steps
-    and ``consume`` run.
-    """
-    ring = np.empty((length,) + v.shape)
-    ring[0] = v
-    flat = ring.reshape(length, v.size)
-    prescaled = isinstance(op, tuple)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(last + 1):
-            t, prev = ring[j % length], (ring[(j - 1) % length] if j else None)
-            if j and prescaled:
-                if j == 1:
-                    t.fill(0.0)
-                matvec_add(op[j % 2], prev, t, counter)
-                if j == 1:
-                    t *= 0.5
-            elif j:
-                y = matvec(op.a, prev, counter)
-                _step(1.0 if j == 1 else 2.0, op.transform, y, prev,
-                      ring[(j - 2) % length] if j > 1 else None, t)
-                del y  # before the next product allocates its own
-            rows = j % length + 1
-            fill = flat[:rows] if rows == length or j == last else None
-            if consume(j, t, prev, fill):
-                return

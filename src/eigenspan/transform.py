@@ -125,12 +125,13 @@ def estimate_spectral_range(a, steps=50, seed=0):
     Raises
     ------
     ValueError
-        If ``steps`` is below 2 or above n.
+        If ``steps`` is above n, or below 2 (below 1 when n = 1).
     """
     n = a.n
     steps = int(steps)
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    least = 1 if n == 1 else 2  # on n = 1 one step is exact
+    if steps < least:
+        raise ValueError(f"steps must be >= {least}, got {steps}")
     if steps > n:
         raise ValueError(f"steps must be <= n = {n}, got {steps}")
     rng = np.random.default_rng(seed)

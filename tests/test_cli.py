@@ -552,6 +552,21 @@ def test_lanczos_steps_below_two_exit_1_naming_the_flag(matrices, capsys, verb, 
     assert captured.err == f"eigenspan {verb}: --lanczos-steps must be >= 2, got {steps}\n"
 
 
+def test_one_by_one_matrix_solves_under_the_auto_bounds(tmp_path, capsys):
+    # The auto bounds run min(50, n) = 1 Lanczos step on n = 1, which is exact.
+    path = tmp_path / "one.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 2.0\n")
+    rc, report = _run_json(["solve", "--matrix-path", str(path), "--a", "1.99999999",
+                            "--b", "2.00000001"], tmp_path / "one.json")
+    assert rc == 0
+    assert [pair["value"] for pair in report["ritz"]] == [2.0]
+    capsys.readouterr()
+    rc = main(["solve", "--matrix-path", str(path), "--a", "1", "--b", "3"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "spectral range" in err and "steps" not in err
+
+
 def test_report_schema_is_a_valid_2020_12_schema():
     # The CLI validates every report against this schema without re-checking it.
     jsonschema.Draft202012Validator.check_schema(_schema())

@@ -444,6 +444,24 @@ def test_block_and_moments_name_the_same_divergent_step(monkeypatch, outside):
         assert block.value.step == moments.value.step == _first_step_over_the_limit(t_diag, v, 30)
 
 
+@pytest.mark.parametrize("panels", [None, 1, 2])
+def test_divergent_loops_leave_the_float_error_state_as_they_found_it(monkeypatch, panels):
+    # Each loop ignores overflow and invalid values only inside its own
+    # errstate scope; a raise out of that scope must restore the caller's.
+    t_diag = np.array([5.0, 0.3, -0.7, 0.9, -0.2])
+    op = MappedOperator(diag_matrix(t_diag), IDENTITY_TRANSFORM)
+    v = np.random.default_rng(0).integers(0, 2, size=(5, 4)) * 2.0 - 1.0
+    with np.errstate(over="raise", invalid="warn", divide="warn", under="ignore"):
+        before = np.geterr()
+        with pytest.raises(RecurrenceDivergenceError):
+            if panels is None:
+                build_moment_block(op, v, make_filter_spec(INTERVAL, d=60, m=2))
+            else:
+                force_panels(monkeypatch, panels)
+                chebyshev_moments(op, v, 60)
+        assert np.geterr() == before
+
+
 @pytest.mark.parametrize("outside, d, scales", [
     (1.5, 60, [1e3, 1e-2, 1.0, 1.0]),
     # Near the top of the float range, so the panels' squared norms
