@@ -110,13 +110,15 @@ def estimate_count(a_t, iv, d=2000, samples=30, seed=0):
     (n, samples) accumulation.  The products are with the prescaled
     2 A_t = ``a_t.doubled()`` and its negation, one more CSR copy of A and
     one more values array held for the call, and the recurrence keeps a
-    ring of two iterates: one in-place kernel call per step adds the
-    product into the older iterate.  A probe block of
+    ring of two iterates: each step is one in-place kernel call that adds
+    the product into the older iterate and one fixed-lane reduction that
+    takes both of the step's per-column dots.  A probe block of
     n * samples >= 2 * PANEL_ELEMENTS elements runs as column panels on up
     to one thread per usable CPU, BLAS left at its own thread setting (see
     ``chebyshev_moments``).  The panels share only +-2 A_t until they
-    join; the estimate is the same bit for bit on any panel count, and the
-    growth of the iterates is checked at every step.
+    join; since the reduction adds in an order set by its lane count, not
+    by the panel's width, the estimate is the same bit for bit on any panel
+    count, and the growth of the iterates is checked at every step.
 
     Parameters
     ----------

@@ -24,17 +24,20 @@ one basis evaluator (``basis_values``).  Its two Chebyshev recurrences share
 no step arithmetic, so each consumer runs its own loop and both share only
 the start block (``_start_block``) and the growth rule (``_check_growth``):
 ``build_moment_block`` maps each product with A onto A_t in a ring of three
-or more iterates, and ``_moments``, under ``chebyshev_moments``, adds the
-product of its prescaled +-2 A_t into the older of two iterates, one
-in-place kernel call per step (``sparse.matvec_add``): no product array, no
-subtraction pass.
+or more iterates, and ``_moments``, under ``chebyshev_moments``, makes each
+step one in-place kernel call (``sparse.matvec_add``) that adds the product
+of its prescaled +-2 A_t into the older of two iterates, no product array
+and no subtraction pass, and one reduction that takes both of the step's
+per-column dots over DOT_LANES row lanes, folded pairwise.
 
 ``chebyshev_moments`` splits a start block of n * ell >= 2 * PANEL_ELEMENTS
 elements into min(usable CPUs, ell, n * ell // PANEL_ELEMENTS) column
 panels, one thread each, the caller's thread included.  Each column's
-moments depend only on that column, so the panels share nothing but the
-read-only +-2 A_t until they join and give the moments of the whole block bit
-for bit; the growth rule reads the sum of their step norms after the join.
+moments depend only on that column, and the order in which its dots are
+added depends on DOT_LANES alone, not on the panel's width, so the panels
+share nothing but the read-only +-2 A_t until they join and give the
+moments of the whole block bit for bit; the growth rule reads the sum of
+their step norms after the join.
 These threads are the module's own: BLAS stays at its thread setting (one
 thread in the benchmark), and ``build_moment_block`` runs whole on the
 caller's thread.
@@ -71,6 +74,9 @@ BATCH_MAX = 16
 GROWTH_LIMIT = 16.0
 #: Start-block elements (n * ell) per column panel of ``chebyshev_moments``.
 PANEL_ELEMENTS = 2**16
+#: Row lanes of the count's step dots (``_moments``): each lane adds its
+#: rows in order, then the lanes fold pairwise; a power of two.
+DOT_LANES = 16
 
 
 def jackson_factors(d):
@@ -411,14 +417,17 @@ def chebyshev_moments(a_t, v, d, counter=None):
     built once per call, and by its negation, a second values array on the
     same index arrays.  It keeps a ring of two iterates, and each step is
     one in-place kernel call that adds +-2 A_t times the newer iterate into
-    the older (``_moments``); the iterates carry signs that the cross dots
-    undo exactly.
+    the older, then one reduction that takes both per-column dots of the
+    step in DOT_LANES row lanes folded pairwise (``_moments``); the iterates
+    carry signs that the cross dots undo exactly.
 
-    Each column's moments depend only on that column, so an n-by-ell block
-    runs as min(usable CPUs, ell, n * ell // PANEL_ELEMENTS) column panels
+    Each column's moments depend only on that column, and the order of its
+    dots only on DOT_LANES, so an n-by-ell block runs as
+    min(usable CPUs, ell, n * ell // PANEL_ELEMENTS) column panels
     (``usable_cpus``) that share only +-2 A_t until they join: the caller's
     thread runs the first panel and one helper thread each runs the others.
-    The moments equal those of the block run whole, bit for bit; below
+    The moments equal those of the block run whole, bit for bit, whatever
+    the panels' widths, one column included; below
     2 * PANEL_ELEMENTS elements, or on one CPU, the block runs whole on the
     caller's thread.  The threads leave BLAS's own thread count as it is.
 
@@ -453,7 +462,7 @@ def chebyshev_moments(a_t, v, d, counter=None):
     doubled = a_t.doubled()
     ops = (SparseSymmetric(doubled.n, doubled.row_ptr, doubled.col_idx, -doubled.values), doubled)
     mu, squares = zip(*_run_panels([
-        functools.partial(_moments, ops, v[:, lo:hi], d, limit, c, v.shape[1] > 1)
+        functools.partial(_moments, ops, v[:, lo:hi], d, limit, c)
         for lo, hi, c in zip(bounds, bounds[1:], counters)
     ]))
     if counter is not None:
@@ -464,7 +473,7 @@ def chebyshev_moments(a_t, v, d, counter=None):
     return np.concatenate(mu, axis=1)
 
 
-def _moments(ops, v, d, limit, counter, wide):
+def _moments(ops, v, d, limit, counter):
     """``v``'s moments and squared norm at each step, to the first over ``limit``; on this thread.
 
     Runs T_k(A_t) v, k = 0..K = ceil(d / 2), as iterates U_k = s_k T_k in a
@@ -473,38 +482,48 @@ def _moments(ops, v, d, limit, counter, wide):
     U_k = U_{k-2} + (s_k / s_{k-1}) 2 A_t U_{k-1}, so each step adds the
     product of ``ops[k % 2]`` with U_{k-1} into U_{k-2}'s row, one in-place
     ``matvec_add`` and no subtraction; ``ops`` is the pair (-2 A_t, 2 A_t).
-    U_1 = (2 A_t) U_0 / 2 goes into a zeroed row.  Since s_k s_{k-1} = -1
-    at even k, the cross dot is negated there (exactly); squares need no
-    sign.  ``wide`` says that ``v``'s columns belong to a block of two or
-    more.  Floating-point warnings are suppressed only while the steps run.
+    U_1 = (2 A_t) U_0 / 2 goes into a zeroed row.
+
+    Each step then takes both of its per-column dots, <U_k, U_k> and
+    <U_k, U_{k-1}>, in one reduction on the ring seen as
+    (2, rows / DOT_LANES, DOT_LANES * w), so that ring row r of a column
+    falls in lane r % DOT_LANES.  One einsum adds each lane's products over
+    its rows in row order, and a halving tree folds the lanes pairwise.
+    Both orders depend on DOT_LANES alone, not on the width w, so a column's
+    moments are the same bit for bit in a panel of any width.  (``.sum``
+    over the lanes would not be: on one column the lane axis is contiguous,
+    and numpy adds it pairwise.)  The ring's rows are padded with zeros to a
+    multiple of DOT_LANES, which add exactly nothing; the kernel works on
+    the leading n rows.  Since s_k s_{k-1} = -1 at even k, the cross dot is
+    negated there (exactly); squares need no sign.  Floating-point warnings
+    are suppressed only while the steps run.
     """
+    n, w = v.shape
+    rows = -(-n // DOT_LANES) * DOT_LANES
+    ring = np.zeros((2, rows, w))  # U_k in row k % 2
+    ring[0, :n] = v
+    lanes = ring.reshape(2, rows // DOT_LANES, DOT_LANES * w)
     mu, squares = [], []  # mu[j] for j = 0..2K and squares[k] for k = 0..K, appended in order
-
-    def dots(x, y):
-        # einsum adds up two or more columns row by row but a lone column in
-        # vector partial sums; a one-column panel of a wider block takes the
-        # running sum, which adds row by row, to match its column of the block.
-        if not wide or x.shape[1] > 1:
-            return np.einsum("ij,ij->j", x, y)
-        return np.cumsum(x[:, 0] * y[:, 0])[-1:]
-
-    ring = np.empty((2,) + v.shape)  # U_k in row k % 2
-    ring[0] = v
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range((d + 1) // 2 + 1):
-            t, prev = ring[k % 2], ring[(k - 1) % 2]
+            t, prev = ring[k % 2, :n], ring[(k - 1) % 2, :n]
             if k == 1:  # U_1 = (2 A_t) U_0 / 2, into a zeroed row
                 t.fill(0.0)
                 matvec_add(ops[1], prev, t, counter)
                 t *= 0.5
             elif k:  # U_k = U_{k-2} + ops[k % 2] U_{k-1}, added in place
                 matvec_add(ops[k % 2], prev, t, counter)
-            square = dots(t, t)
+            sums = np.einsum("kij,ij->kj", lanes, lanes[k % 2]).reshape(2, DOT_LANES, w)
+            half = DOT_LANES
+            while half > 1:
+                half //= 2
+                sums = sums[:, :half] + sums[:, half:]
+            square = sums[k % 2, 0]
             squares.append(square.sum())
             if k == 0:
                 mu.append(square)
             else:
-                cross = dots(t, prev) if k % 2 else -dots(t, prev)
+                cross = sums[0, 0] if k % 2 else -sums[1, 0]
                 mu.append(cross if k == 1 else 2.0 * cross - mu[1])
                 mu.append(2.0 * square - mu[0])
             if not math.sqrt(squares[-1]) <= limit:

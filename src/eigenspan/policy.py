@@ -10,6 +10,7 @@ damped-Chebyshev solver ("cj") or the contour baseline ("contour").
 run, so that one count and one start block can serve both methods.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,11 +61,18 @@ def start_block(n, ell, seed=0):
 
 
 def locate_interval(a, lo, hi, bounds="auto", lanczos_steps=50, seed=0):
-    """(transform, interval): ``bounds`` = (lmin, lmax), or a seeded Lanczos estimate."""
+    """(transform, interval): ``bounds`` = (lmin, lmax), or a seeded Lanczos estimate.
+
+    Any ``bounds`` but "auto" or a pair of real numbers raises ValueError
+    before Lanczos runs.
+    """
     if isinstance(bounds, str) and bounds == "auto":
         tr = estimate_spectral_range(a, steps=min(lanczos_steps, a.n), seed=seed)
     else:
-        tr = exact_transform(*bounds)
+        pair = () if isinstance(bounds, str) else tuple(np.atleast_1d(bounds))
+        if len(pair) != 2 or not all(isinstance(x, numbers.Real) for x in pair):
+            raise ValueError(f"bounds must be 'auto' or a pair of numbers (lmin, lmax), got {bounds!r}")
+        tr = exact_transform(*pair)
     return tr, make_interval(tr, lo, hi)
 
 

@@ -573,11 +573,19 @@ def _on_caller_thread(f, *args):
     return out["value"]
 
 
-@pytest.mark.parametrize("panels, ell", [(2, 2), (2, 7), (3, 3), (3, 7), (4, 4), (4, 9)])
-def test_moments_on_panels_equal_the_whole_block_bit_for_bit(rng, monkeypatch, panels, ell):
-    # ell == panels gives one-column panels; 7 and 9 give panels of unequal width.
-    op = _dense_operator(rng, 60)
-    v = rng.standard_normal((60, ell))
+PANEL_CASES = [(2, 2), (2, 7), (3, 3), (3, 7), (4, 4), (4, 9)]
+
+
+@pytest.mark.parametrize("panels, ell, n", [
+    *(pytest.param(panels, ell, 60, id=f"{panels}-{ell}") for panels, ell in PANEL_CASES),
+    *(pytest.param(panels, ell, 64, id=f"{panels}-{ell}-64") for panels, ell in PANEL_CASES),
+])
+def test_moments_on_panels_equal_the_whole_block_bit_for_bit(rng, monkeypatch, panels, ell, n):
+    # ell == panels gives one-column panels; 7 and 9 give panels of unequal
+    # width.  The ring of n = 60 rows has zero rows below n (60 = 3 * 16 + 12,
+    # DOT_LANES = 16); that of n = 64 has none.
+    op = _dense_operator(rng, n)
+    v = rng.standard_normal((n, ell))
     d = 41
     force_panels(monkeypatch, 1)
     whole = chebyshev_moments(op, v, d)

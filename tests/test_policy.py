@@ -96,6 +96,24 @@ def test_unknown_method_is_rejected_before_the_count(monkeypatch):
         solve_interval(laplacian_1d(12), 1.9, 2.1, method="feast")
 
 
+@pytest.mark.parametrize("bounds", ["0,8", "AUTO", (0, 8, 9), [0.0]])
+def test_malformed_bounds_are_rejected_before_lanczos_and_the_count(monkeypatch, bounds):
+    import eigenspan.policy
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("Lanczos or the count pass ran")
+
+    # 2 - 2 cos(k pi / 13), k = 6 and 7, are the eigenvalues in [1.7, 2.3].
+    a = laplacian_1d(12)
+    rep, _, _ = solve_interval(a, 1.7, 2.3, bounds=(0.0, 8.0))
+    assert rep.converged
+    assert np.allclose(np.sort(rep.ritz.values), 2.0 - 2.0 * np.cos(np.pi * np.array([6, 7]) / 13))
+    monkeypatch.setattr(eigenspan.policy, "estimate_spectral_range", no_pass)
+    monkeypatch.setattr(eigenspan.policy, "estimate_count", no_pass)
+    with pytest.raises(ValueError, match=r"bounds must be 'auto' or a pair of numbers \(lmin, lmax\)"):
+        solve_interval(a, 1.7, 2.3, bounds=bounds)
+
+
 def test_cli_solve_writes_the_library_report(tmp_path):
     path, out = str(tmp_path / "lap1d.mtx"), tmp_path / "solve.json"
     a = laplacian_1d(200)
