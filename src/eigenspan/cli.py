@@ -90,13 +90,13 @@ def _add_matrix_args(p):
     p.add_argument("--seed", type=int, default=0, help="seed for V0 and the count estimator")
 
 
-def _add_estimator_args(p, count_default="auto"):
+def _add_estimator_args(p):
     p.add_argument(
         "--count-degree",
         type=_auto_or_int,
-        default=count_default,
-        help=f"indicator degree of the count estimator (default {count_default}; "
-        '"auto" reuses the filter degree, 2000 for count)',
+        default="auto",
+        help='indicator degree of the count estimator (default "auto": the filter degree, '
+        "2000 for count)",
     )
     p.add_argument("--samples", type=int, default=30, help="probe vectors for the count estimator")
 
@@ -135,7 +135,7 @@ def build_parser():
 
     p = sub.add_parser("count", help="stochastic estimate of the eigenvalue count in [a, b]")
     _add_matrix_args(p)
-    _add_estimator_args(p, count_default=2000)
+    _add_estimator_args(p)
     p.add_argument("--report-path", default="-")
     p.set_defaults(degree=2000)  # what --count-degree auto means here
 
@@ -187,11 +187,13 @@ def _load(args):
         raise ValueError(f"--lanczos-steps must be >= 2, got {args.lanczos_steps}")
     bounds = args.spectral_bounds
     if bounds != "auto":
-        bounds = _float_list(bounds)
-        if len(bounds) != 2:
+        try:
+            lmin, lmax = _float_list(bounds)  # ValueError unless two numbers
+        except ValueError:
             raise EigenspanError(
                 f"--spectral-bounds expects 'auto' or 'lmin,lmax', got {args.spectral_bounds!r}"
-            )
+            ) from None
+        bounds = [lmin, lmax]
     options = {key: getattr(args, key) for key in _POLICY_FLAGS if key in args}
     return load_matrix_market(args.matrix_path), dict(options, bounds=bounds)
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import restart_loop
+from .errors import check_at_least
 from .sparse import matvec
 
 
@@ -52,8 +53,7 @@ def check_node_count(q):
     """Raise ValueError unless q is an even node count >= 4."""
     if q % 2 != 0:
         raise ValueError(f"node count must be even, got {q}")
-    if q < 4:
-        raise ValueError(f"node count must be >= 4, got {q}")
+    check_at_least("node count", q, 4)
 
 
 def check_shift_tol(tol):

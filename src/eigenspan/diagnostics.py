@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundUndefinedError, HypothesisViolationError
-from .filters import basis_values, cosine_series, jackson_factors, panel_rule, step_coefficients
+from .errors import BoundUndefinedError, HypothesisViolationError, check_at_least
+from .filters import (basis_values, check_degree, cosine_series, jackson_factors, mapped_points,
+                      panel_rule, step_coefficients)
 
 PI = math.pi
 
@@ -23,10 +24,9 @@ def cheb_t(m, x):
     """Chebyshev T_m(x), stable for |x| <= 1 (cos form) and x > 1 (cosh form).
 
     The cosh form avoids the overflow/cancellation of the three-term
-    recurrence at large m; x < -1 is rejected (never needed here).
+    recurrence at large m; x < -1 and NaN are rejected (never needed here).
     """
-    if x < -1.0:
-        raise ValueError(f"cheb_t expects x >= -1, got {x}")
+    check_at_least("x", x, -1)
     if x <= 1.0:
         return math.cos(m * math.acos(x))
     return math.cosh(m * math.acosh(x))
@@ -35,10 +35,9 @@ def cheb_t(m, x):
 def kernel_value(d, phi):
     """Evaluate the degree-d damping kernel u_d(phi) = 1/2 + sum rho_j cos(j phi).
 
-    Vectorized over phi; d >= 2 required (nonnegativity holds from there).
+    Vectorized over phi; d >= 2 required (``check_degree``).
     """
-    if d < 2:
-        raise ValueError(f"kernel defined for d >= 2, got {d}")
+    check_degree(d)
     phi = np.asarray(phi, dtype=np.float64)
     rho = jackson_factors(d)
     rho[0] = 1.0  # exact: the series starts at 1/2
@@ -52,8 +51,7 @@ def kernel_moments(d, k):
     Computed as (2/pi) * integral_0^pi phi^k u_d(phi) dphi (the kernel is
     even) by ``panel_rule`` at the kernel's top frequency d.
     """
-    if d < 2:
-        raise ValueError(f"kernel defined for d >= 2, got {d}")
+    check_degree(d)
     if k not in (0, 1, 2, 4):
         raise ValueError(f"moment power must be in {{0, 1, 2, 4}}, got {k}")
     rule = panel_rule(0.0, PI, d)
@@ -89,19 +87,17 @@ def filter_probe(iv, p_degree, points, degrees):
     ----------
     iv : TargetInterval
     p_degree : int
-    points : array of floats in [-1, 1]
-    degrees : array of ints, each >= 2
+    points : array of floats in [-1, 1], NaN refused (``mapped_points``)
+    degrees : array of ints, each >= 2 (``check_degree``)
 
     Returns
     -------
     list of ProbeRow
     """
     degrees = sorted(int(d) for d in degrees)
-    if degrees and degrees[0] < 2:
-        raise ValueError(f"probe degrees must be >= 2, got {degrees[0]}")
-    points = np.atleast_1d(np.asarray(points, dtype=np.float64))
-    if np.any(np.abs(points) > 1.0 + 1e-12):
-        raise ValueError("probe points must lie in [-1, 1]")
+    if degrees:
+        check_degree(degrees[0])
+    points, theta = mapped_points(points)
     d_max = degrees[-1] if degrees else 2
     row = step_coefficients(iv, "chebyshev", p_degree, d_max)
     a, b = iv.a_t, iv.b_t
@@ -111,7 +107,6 @@ def filter_probe(iv, p_degree, points, degrees):
     dp_sup, ddp_sup = (markov_constants(p_degree + 1, k) * (2.0 / iv.width_t) ** k
                        if k <= p_degree else 0.0 for k in (1, 2))
 
-    theta = np.arccos(np.clip(points, -1.0, 1.0))
     # Basis values p(t) and the target p(t) h(t) at each point.
     p_vals = basis_values("chebyshev", [p_degree], points, a, b)[0]
     h_vals = np.where((points > a) & (points < b), 1.0, 0.0)
@@ -180,7 +175,7 @@ class SpectrumModel:
     Attributes
     ----------
     eigenvalues : ndarray
-        Ascending, all within [-1, 1] (mapped units).
+        Ascending, all within [-1, 1] (mapped units); NaN fails both checks.
     interval : TargetInterval
     i : int
         1-based index of the target eigenvalue, counted *downward* from the
@@ -200,9 +195,9 @@ class SpectrumModel:
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=np.float64)
-        if np.any(np.diff(ev) < 0.0):
+        if not np.all(np.diff(ev) >= 0.0):
             raise ValueError("eigenvalues must be ascending")
-        if ev.size and (ev[0] < -1.0 or ev[-1] > 1.0):
+        if ev.size and not (ev[0] >= -1.0 and ev[-1] <= 1.0):
             raise ValueError("eigenvalues must lie within [-1, 1]")
         object.__setattr__(self, "eigenvalues", ev)
 
@@ -257,8 +252,8 @@ def error_at_eigenvalue_bound(sm, lam, m, d, p_sup_ratio=1.0):
     Returns +inf when an eigenvalue of the model sits exactly on an
     interval end, which makes the angular gap zero.
     """
-    if m < 1 or d < 2:
-        raise ValueError("need m >= 1 and d >= 2")
+    check_at_least("m", m, 1)
+    check_degree(d)
     iv = sm.interval
     delta_min = _boundary_angle_gap(sm)
     if delta_min == 0.0:
@@ -328,8 +323,7 @@ def convergence_factor_bound(sm, d):
         above the target (needs |Xi_i| <= m - 1), or an in-interval
         multiplicity exceeding ell.
     """
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    check_degree(d)
     iv = sm.interval
     lam = sm.inside_descending
     n_ev = lam.size
@@ -445,9 +439,9 @@ def theoretical_degree_bound(iv, m, n_ev, ell, zeta=1.0):
         If m >= 2 and n_ev - 1 - ell <= 0: the uniform model then has no
         gap separating wanted from unwanted eigenvalues.
     """
-    if m < 1 or n_ev < 1 or ell < 1:
-        raise ValueError("m, n_ev and ell must all be >= 1")
-    if zeta <= 0.0:
+    for name, value in (("m", m), ("n_ev", n_ev), ("ell", ell)):
+        check_at_least(name, value, 1)
+    if not zeta > 0.0:
         raise ValueError(f"zeta must be positive, got {zeta}")
     w = iv.width_t
 

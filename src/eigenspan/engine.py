@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dense import dense_sym_eig, orthonormal_range
+from .errors import check_at_least
 from .filters import build_moment_block
 from .sparse import MVCounter, matvec
 from .transform import MappedOperator
@@ -144,8 +145,7 @@ def orthonormalize_block(s):
 
 def check_stopping(tol, max_restarts):
     """Reject a restart budget below 1 or a residual tolerance that is not positive."""
-    if max_restarts < 1:
-        raise ValueError(f"need max_restarts >= 1, got {max_restarts}")
+    check_at_least("max_restarts", max_restarts, 1)
     if not tol > 0:
         raise ValueError(f"need tol > 0, got {tol}")
 
@@ -195,8 +195,7 @@ def restart_loop(
     """
     if n_ev_target is None:
         raise ValueError("n_ev_target is required")
-    if n_ev_target < 1:
-        raise ValueError(f"need n_ev_target >= 1, got {n_ev_target}")
+    check_at_least("n_ev_target", n_ev_target, 1)
     check_stopping(tol, max_restarts)
     v = np.asarray(v0, dtype=np.float64)
     n, ell = v.shape

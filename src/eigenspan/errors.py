@@ -49,3 +49,9 @@ class BoundUndefinedError(EigenspanError, ValueError):
 
 class HypothesisViolationError(EigenspanError, ValueError):
     """Spectrum model violates a hypothesis of the bound being evaluated."""
+
+
+def check_at_least(name, value, least):
+    """Raise ValueError naming ``name`` unless ``value >= least``, so NaN is refused too."""
+    if not value >= least:
+        raise ValueError(f"need {name} >= {least}, got {value}")

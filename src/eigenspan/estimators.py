@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_at_least
 from .filters import check_degree, chebyshev_moments, make_filter_spec
 from .sparse import MVCounter
 
@@ -50,8 +51,7 @@ def select_degree(width_t, m, d_factor=1.0, k_factor=10.0):
     """
     if not 0.0 < width_t <= 2.0:
         raise ValueError(f"mapped width must be in (0, 2], got {width_t}")
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    check_at_least("m", m, 1)
     if not 1.0 <= d_factor <= 8.0:
         raise ValueError(f"d_factor must be in [1, 8], got {d_factor}")
     if not 1.0 <= k_factor <= 10.0:
@@ -141,8 +141,7 @@ def estimate_count(a_t, iv, d=2000, samples=30, seed=0):
         ``chebyshev_moments``): the spectral transform misses part of the
         spectrum.  Any panel count names the same step.
     """
-    if samples < 1:
-        raise ValueError(f"need samples >= 1, got {samples}")
+    check_at_least("samples", samples, 1)
     check_degree(d)
     rng = np.random.default_rng(seed)
     n = a_t.a.n
@@ -162,6 +161,5 @@ def estimate_count(a_t, iv, d=2000, samples=30, seed=0):
 
 def recommended_block_size(n_ev_tilde, m):
     """Block size ell = ceil(1.5 * n_ev_tilde / m), at least 1."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    check_at_least("m", m, 1)
     return max(1, math.ceil(1.5 * n_ev_tilde / m))

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RecurrenceDivergenceError
+from .errors import RecurrenceDivergenceError, check_at_least
 from .sparse import MVCounter, SparseSymmetric, matvec, matvec_add
 
 BASES = ("chebyshev", "scaled", "monomial")
@@ -86,8 +86,7 @@ def jackson_factors(d):
     with a = pi / (d + 2).  rho_0 = 1 analytically; the factors decay to
     ~0 at j = d, which is what suppresses the Gibbs oscillations.
     """
-    if d < 0:
-        raise ValueError(f"degree must be >= 0, got {d}")
+    check_at_least("degree", d, 0)
     j = np.arange(d + 1, dtype=np.float64)
     alpha = math.pi / (d + 2)
     rho = np.sin((j + 1) * alpha) / ((d + 2) * math.sin(alpha))
@@ -178,8 +177,7 @@ def _coefficient_rows(iv, basis, ks, d):
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}, expected one of {BASES}")
-    if d < 0:
-        raise ValueError(f"degree must be >= 0, got {d}")
+    check_at_least("degree", d, 0)
     ks = np.asarray(ks)
     rule = panel_rule(iv.beta, iv.alpha, d + int(ks.max()))
     g = 2.0 / math.pi * rule.weights * basis_values(basis, ks, np.cos(rule.nodes), iv.a_t, iv.b_t)
@@ -221,8 +219,7 @@ def step_coefficients(iv, basis, k, d):
     -------
     ndarray, shape (d + 1,)
     """
-    if k < 0:
-        raise ValueError(f"basis index must be >= 0, got {k}")
+    check_at_least("basis index", k, 0)
     return _coefficient_rows(iv, basis, [k], d)[0]
 
 
@@ -260,32 +257,35 @@ class FilterSpec:
 
 
 def check_degree(d):
-    """Reject a filter degree below 2, where the damped kernel is not yet nonnegative."""
-    if d < 2:
-        raise ValueError(f"need degree >= 2, got {d}")
+    """Reject a degree below 2, where the damped kernel is not yet nonnegative."""
+    check_at_least("degree", d, 2)
 
 
 def make_filter_spec(iv, d, m, basis="chebyshev"):
     """Build the FilterSpec for m moment blocks at expansion degree d >= 2."""
-    if m < 1:
-        raise ValueError(f"need at least one basis polynomial, got m = {m}")
+    check_at_least("m", m, 1)
     check_degree(d)
     rho = jackson_factors(d)
     coeffs = _coefficient_rows(iv, basis, np.arange(m), d)
     return FilterSpec(d=d, m=m, basis=basis, rho=rho, coeffs=coeffs)
 
 
+def mapped_points(t):
+    """``t`` as a 1-D float64 array and its angles; NaN or |t| > 1 + 1e-12 has no cos-form: refused."""
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    inside = np.abs(t) <= 1.0 + 1e-12
+    if not np.all(inside):
+        raise ValueError(f"points must lie in [-1, 1], got {t[~inside][0]}")
+    return t, np.arccos(np.clip(t, -1.0, 1.0))
+
+
 def filter_scalar(spec, k, t):
     """Evaluate F_d(p_k) pointwise on mapped values t in [-1, 1].
 
     Vectorized over t; used by diagnostics and by the dense-oracle tests.
-    Values outside [-1, 1] (beyond 1e-12 roundoff) are rejected, since the
-    Chebyshev cos-form is only defined there.
+    NaN and points outside [-1, 1] are refused (``mapped_points``).
     """
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if np.any(np.abs(t) > 1.0 + 1e-12):
-        raise ValueError("filter evaluation points must lie in [-1, 1]")
-    theta = np.arccos(np.clip(t, -1.0, 1.0))
+    _, theta = mapped_points(t)
     out = cosine_series(theta, [spec.rho * spec.coeffs[k]])[:, 0]
     return out if out.size > 1 else float(out[0])
 
@@ -454,8 +454,7 @@ def chebyshev_moments(a_t, v, d, counter=None):
         panel order over the steps all ran, so any panel count names the
         same step.  Otherwise the first failing panel's error is raised.
     """
-    if d < 0:
-        raise ValueError(f"degree must be >= 0, got {d}")
+    check_at_least("degree", d, 0)
     v, limit = _start_block(v)
     bounds = _panel_bounds(v)
     counters = [MVCounter() for _ in bounds[1:]]

@@ -17,6 +17,7 @@ import numpy as np
 
 from .contour import check_node_count, check_shift_tol, run_baseline
 from .engine import check_block_width, check_stopping, run_cjssrr
+from .errors import check_at_least
 from .estimators import estimate_count, recommended_block_size, select_degree
 from .filters import check_degree, make_filter_spec
 from .transform import (MappedOperator, SpectralTransform, TargetInterval, estimate_spectral_range,
@@ -95,8 +96,7 @@ def plan_interval(a, lo, hi, *, m=4, ell="auto", degree="auto", basis="chebyshev
 
     ``count_options`` are the rest of ``count_interval``'s keywords.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    check_at_least("m", m, 1)
     if degree != "auto":
         check_degree(degree)
     check_node_count(quad_nodes)

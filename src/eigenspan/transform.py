@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import dense_sym_eig
-from .errors import IntervalError
+from .errors import IntervalError, check_at_least
 from .sparse import SparseSymmetric, matvec
 
 
@@ -129,9 +129,7 @@ def estimate_spectral_range(a, steps=50, seed=0):
     """
     n = a.n
     steps = int(steps)
-    least = 1 if n == 1 else 2  # on n = 1 one step is exact
-    if steps < least:
-        raise ValueError(f"steps must be >= {least}, got {steps}")
+    check_at_least("steps", steps, min(n, 2))  # on n = 1 one step is exact
     if steps > n:
         raise ValueError(f"steps must be <= n = {n}, got {steps}")
     rng = np.random.default_rng(seed)
@@ -179,9 +177,9 @@ def estimate_spectral_range(a, steps=50, seed=0):
 
 
 def exact_transform(lambda_min, lambda_max):
-    """Transform from externally supplied exact (or reference) extremes."""
-    if not lambda_min < lambda_max:
-        raise ValueError(f"need lambda_min < lambda_max, got [{lambda_min}, {lambda_max}]")
+    """Transform from supplied exact (or reference) extremes, refused unless finite and ordered."""
+    if not -np.inf < lambda_min < lambda_max < np.inf:
+        raise ValueError(f"need finite lambda_min < lambda_max, got [{lambda_min}, {lambda_max}]")
     return SpectralTransform(float(lambda_min), float(lambda_max))
 
 

@@ -154,7 +154,7 @@ def test_missing_matrix_exits_1(capsys):
     assert "no/such/file.mtx" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bounds", ["8", "0,4,8"])
+@pytest.mark.parametrize("bounds", ["8", "0,4,8", "0,abc"])
 def test_malformed_spectral_bounds_exit_1_before_the_load(capsys, bounds):
     rc = main(["solve", "--matrix-path", "no/such/file.mtx", "--a", "0", "--b", "1",
                "--spectral-bounds", bounds])
@@ -164,6 +164,24 @@ def test_malformed_spectral_bounds_exit_1_before_the_load(capsys, bounds):
     assert captured.err == (
         f"eigenspan solve: --spectral-bounds expects 'auto' or 'lmin,lmax', got '{bounds}'\n"
     )
+
+
+def test_infinite_spectral_bound_exits_1_naming_the_pair(matrices, capsys):
+    rc = main(["count", "--matrix-path", matrices["lap12"], "--a", "1.9", "--b", "2.1",
+               "--spectral-bounds=0,inf"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "eigenspan count: need finite lambda_min < lambda_max, got [0.0, inf]\n"
+
+
+def test_probe_nan_point_exits_1_naming_the_range(capsys):
+    rc = main(["probe", "--a", "-0.2", "--b", "0.4", "--p-degree", "1", "--points=nan,0.1",
+               "--d-max", "200", "--n-degrees", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "eigenspan probe: points must lie in [-1, 1], got nan\n"
 
 
 def test_empty_interval_exits_1(matrices, capsys):

@@ -190,6 +190,8 @@ def test_probe_classifies_points(probe_interval):
 def test_probe_rejects_points_outside_the_mapped_range(probe_interval):
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
         filter_probe(probe_interval, 1, [0.1, 1.5], [100])
+    with pytest.raises(ValueError, match=r"^points must lie in \[-1, 1\], got nan$"):
+        filter_probe(probe_interval, 1, [np.nan, 0.1], [100])
     rows = filter_probe(probe_interval, 1, [1.0 + 1e-13], [100])
     assert rows[0].bound_kind == "outside"
 
@@ -245,6 +247,16 @@ def test_spectrum_model_validates_input(band_model):
         SpectrumModel(
             eigenvalues=np.array([-1.5, 0.0]), interval=band_model["iv"], i=1, ell=1, m=2
         )
+
+
+@pytest.mark.parametrize("ev, message", [
+    ([-0.5, 0.1, np.nan], "ascending"),
+    ([np.nan], r"\[-1, 1\]"),
+], ids=["nan-last", "nan-alone"])
+def test_spectrum_model_refuses_a_nan_eigenvalue(band_model, ev, message):
+    # A NaN would otherwise drop out of inside_descending unseen.
+    with pytest.raises(ValueError, match=message):
+        SpectrumModel(np.array(ev), band_model["iv"], 1, 2, 1)
 
 
 def test_spectrum_model_orders_inside_eigenvalues_downward(band_model):

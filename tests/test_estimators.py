@@ -96,6 +96,11 @@ def test_theoretical_bound_single_basis_closed_form():
         assert got == pytest.approx(expected, rel=1e-14)
 
 
+def test_theoretical_bound_refuses_a_nan_zeta():
+    with pytest.raises(ValueError, match="^zeta must be positive, got nan$"):
+        theoretical_degree_bound(mapped_interval(-0.1, 0.3), m=1, n_ev=5, ell=3, zeta=math.nan)
+
+
 def test_theoretical_bound_undefined_without_separation_gap():
     iv = mapped_interval(-0.1, 0.1)
     with pytest.raises(BoundUndefinedError):

@@ -217,6 +217,9 @@ def test_filter_scalar_rejects_points_outside_unit_interval():
     spec = make_filter_spec(INTERVAL, d=10, m=1)
     with pytest.raises(ValueError):
         filter_scalar(spec, 0, 1.001)
+    for t in (np.nan, [0.1, np.nan]):
+        with pytest.raises(ValueError, match=r"^points must lie in \[-1, 1\], got nan$"):
+            filter_scalar(spec, 0, t)
 
 
 def test_filter_scalar_matches_chebyshev_series_evaluation(rng):

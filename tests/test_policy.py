@@ -114,6 +114,13 @@ def test_malformed_bounds_are_rejected_before_lanczos_and_the_count(monkeypatch,
         solve_interval(a, 1.7, 2.3, bounds=bounds)
 
 
+@pytest.mark.parametrize("bounds", [(0.0, math.inf), (math.nan, 8.0)], ids=["inf", "nan"])
+def test_non_finite_bounds_are_refused_naming_the_pair(bounds):
+    with pytest.raises(ValueError) as excinfo:
+        solve_interval(laplacian_1d(12), 1.9, 2.1, bounds=bounds)
+    assert str(excinfo.value) == f"need finite lambda_min < lambda_max, got [{bounds[0]}, {bounds[1]}]"
+
+
 def test_cli_solve_writes_the_library_report(tmp_path):
     path, out = str(tmp_path / "lap1d.mtx"), tmp_path / "solve.json"
     a = laplacian_1d(200)

@@ -1,5 +1,7 @@
 """Spectral-range estimation and the affine map onto [-1, 1]."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,13 @@ def test_make_interval_rejects_bad_intervals():
         make_interval(tr, -0.5, 1.0)
     with pytest.raises(IntervalError):
         make_interval(tr, 3.0, 4.5)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 8.0), (8.0, 0.0)])
+def test_exact_transform_refuses_non_finite_or_unordered_bounds(lo, hi):
+    with pytest.raises(ValueError) as excinfo:
+        exact_transform(lo, hi)
+    assert str(excinfo.value) == f"need finite lambda_min < lambda_max, got [{lo}, {hi}]"
 
 
 def test_mapped_interval_convenience():
