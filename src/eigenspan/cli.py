@@ -40,6 +40,10 @@ from .transform import MappedOperator, mapped_interval
 
 SCHEMA_VERSION = "1"
 
+#: Every keyword of the interval-solve policy with its default: the solve
+#: flags are named after these keywords and take their defaults from here.
+_POLICY = {**count_interval.__kwdefaults__, **plan_interval.__kwdefaults__}
+
 
 @functools.cache
 def _report_validator():
@@ -81,46 +85,45 @@ def _add_matrix_args(p):
     p.add_argument("--matrix-path", required=True, help="Matrix Market (.mtx) input")
     p.add_argument("--a", type=float, required=True, help="interval lower end (original units)")
     p.add_argument("--b", type=float, required=True, help="interval upper end (original units)")
-    p.add_argument(
-        "--spectral-bounds",
-        default="auto",
-        help='"auto" (Lanczos estimate) or "lmin,lmax"',
-    )
-    p.add_argument("--lanczos-steps", type=int, default=50, help="steps for the auto bounds")
-    p.add_argument("--seed", type=int, default=0, help="seed for V0 and the count estimator")
+    p.add_argument("--spectral-bounds", default=_POLICY["bounds"],
+                   help='"auto" (Lanczos estimate) or "lmin,lmax"')
+    p.add_argument("--lanczos-steps", type=int, default=_POLICY["lanczos_steps"],
+                   help="steps for the auto bounds")
+    p.add_argument("--seed", type=int, default=_POLICY["seed"],
+                   help="seed for V0 and the count estimator")
 
 
 def _add_estimator_args(p):
-    p.add_argument(
-        "--count-degree",
-        type=_auto_or_int,
-        default="auto",
-        help='indicator degree of the count estimator (default "auto": the filter degree, '
-        "2000 for count)",
-    )
-    p.add_argument("--samples", type=int, default=30, help="probe vectors for the count estimator")
+    p.add_argument("--count-degree", type=_auto_or_int, default=_POLICY["count_degree"],
+                   help='indicator degree of the count estimator (default "auto": the filter '
+                   'degree, 2000 for count)')
+    p.add_argument("--samples", type=int, default=_POLICY["samples"],
+                   help="probe vectors for the count estimator")
 
 
 def _add_solver_args(p):
-    p.add_argument("--m", type=int, default=4, help="moment count per block")
-    p.add_argument("--ell", type=_auto_or_int, default="auto", help='block size or "auto"')
-    p.add_argument("--tol", type=float, default=1e-10, help="relative residual tolerance")
-    p.add_argument("--max-restarts", type=int, default=30)
+    p.add_argument("--m", type=int, default=_POLICY["m"], help="moment count per block")
+    p.add_argument("--ell", type=_auto_or_int, default=_POLICY["ell"], help='block size or "auto"')
+    p.add_argument("--tol", type=float, default=_POLICY["tol"], help="relative residual tolerance")
+    p.add_argument("--max-restarts", type=int, default=_POLICY["max_restarts"])
     p.add_argument("--report-path", default="-", help='output path, "-" for stdout')
 
 
 def _add_filter_args(p):
-    p.add_argument("--degree", type=_auto_or_int, default="auto", help='filter degree or "auto"')
-    p.add_argument("--d", type=float, default=1.0, dest="d_factor", metavar="D",
+    p.add_argument("--degree", type=_auto_or_int, default=_POLICY["degree"],
+                   help='filter degree or "auto"')
+    p.add_argument("--d", type=float, default=_POLICY["d_factor"], dest="d_factor", metavar="D",
                    help="degree-formula accuracy constant")
-    p.add_argument("--k", type=float, default=10.0, dest="k_factor", metavar="K",
+    p.add_argument("--k", type=float, default=_POLICY["k_factor"], dest="k_factor", metavar="K",
                    help="degree-formula width constant")
-    p.add_argument("--basis", choices=BASES, default="chebyshev")
+    p.add_argument("--basis", choices=BASES, default=_POLICY["basis"])
 
 
 def _add_baseline_args(p):
-    p.add_argument("--quad-nodes", type=int, default=16, help="contour quadrature node count")
-    p.add_argument("--krylov-tol", type=float, default=1e-12, help="shifted-solve tolerance")
+    p.add_argument("--quad-nodes", type=int, default=_POLICY["quad_nodes"],
+                   help="contour quadrature node count")
+    p.add_argument("--krylov-tol", type=float, default=_POLICY["krylov_tol"],
+                   help="shifted-solve tolerance")
 
 
 def build_parser():
@@ -166,7 +169,8 @@ def build_parser():
     _add_matrix_args(p)
     p.add_argument("--ell", type=int, default=8, help="block size of the probed moment blocks")
     p.add_argument("--m-grid", type=_int_list, default=[2, 4, 8, 16], help="comma-separated moment counts")
-    p.add_argument("--degree", type=_auto_or_int, default="auto", help='filter degree or "auto" (per row)')
+    p.add_argument("--degree", type=_auto_or_int, default=_POLICY["degree"],
+                   help='filter degree or "auto" (per row)')
     p.add_argument("--out", default="-", help='CSV path, "-" for stdout')
 
     return parser
@@ -174,11 +178,6 @@ def build_parser():
 
 # ---------------------------------------------------------------------------
 # From flags to the policy's arguments, and back to the config echo
-
-
-#: Flags the policy takes, by their argparse names.
-_POLICY_FLAGS = ("m", "ell", "degree", "d_factor", "k_factor", "basis", "count_degree", "samples",
-                 "seed", "lanczos_steps", "tol", "max_restarts", "quad_nodes", "krylov_tol")
 
 
 def _load(args):
@@ -194,7 +193,7 @@ def _load(args):
                 f"--spectral-bounds expects 'auto' or 'lmin,lmax', got {args.spectral_bounds!r}"
             ) from None
         bounds = [lmin, lmax]
-    options = {key: getattr(args, key) for key in _POLICY_FLAGS if key in args}
+    options = {key: getattr(args, key) for key in _POLICY if key in args}
     return load_matrix_market(args.matrix_path), dict(options, bounds=bounds)
 
 
@@ -302,10 +301,10 @@ def cmd_count(args):
 def cmd_probe(args):
     if not args.points:
         raise ValueError("--points must list at least one t value")
-    if args.n_degrees < 1:
-        raise ValueError(f"--n-degrees must be >= 1, got {args.n_degrees}")
-    if args.d_min < 2:
-        raise ValueError(f"--d-min must be >= 2, got {args.d_min}")
+    for flag, value, least in (("--p-degree", args.p_degree, 0), ("--n-degrees", args.n_degrees, 1),
+                               ("--d-min", args.d_min, 2)):
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     if args.d_max < args.d_min:
         raise ValueError(f"--d-max must be >= --d-min = {args.d_min}, got {args.d_max}")
     iv = mapped_interval(args.a, args.b)

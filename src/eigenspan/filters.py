@@ -282,7 +282,7 @@ def mapped_points(t):
 def filter_scalar(spec, k, t):
     """Evaluate F_d(p_k) pointwise on mapped values t in [-1, 1].
 
-    Vectorized over t; used by diagnostics and by the dense-oracle tests.
+    Vectorized over t; the dense-oracle tests check the moment blocks with it.
     NaN and points outside [-1, 1] are refused (``mapped_points``).
     """
     _, theta = mapped_points(t)

@@ -20,6 +20,9 @@ from .errors import MalformedFileError, MatrixFormatError, NonFiniteError, NotSy
 SYMMETRY_RTOL = 1e-12
 # One Matrix Market entry line: 1-based row, 1-based column, value.
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+# The header fields after %%MatrixMarket, in order, with the values this reader takes.
+_HEADER = (("object", ("matrix",)), ("format", ("coordinate",)), ("field", ("real",)),
+           ("symmetry", ("symmetric", "general")))
 
 
 class MVCounter:
@@ -262,17 +265,12 @@ def parse_matrix_market(text):
     header = lines[0].split()
     if len(header) != 5:
         raise MatrixFormatError(f"line 1: header has {len(header)} tokens, expected 5")
-    _, obj, fmt, fld, symm = (tok.lower() for tok in header)
-    if obj != "matrix":
-        raise MatrixFormatError(f"line 1: object {obj!r} not supported (only 'matrix')")
-    if fmt != "coordinate":
-        raise MatrixFormatError(f"line 1: format {fmt!r} not supported (only 'coordinate')")
-    if fld != "real":
-        raise MatrixFormatError(f"line 1: field {fld!r} not supported (only 'real')")
-    if symm not in ("symmetric", "general"):
-        raise MatrixFormatError(
-            f"line 1: symmetry {symm!r} not supported (only 'symmetric' or 'general')"
-        )
+    fields = [tok.lower() for tok in header[1:]]
+    for (name, allowed), value in zip(_HEADER, fields):
+        if value not in allowed:
+            only = " or ".join(map(repr, allowed))
+            raise MatrixFormatError(f"line 1: {name} {value!r} not supported (only {only})")
+    symm = fields[3]
 
     # Data lines after the header, blank and % lines skipped: the size line
     # first, then the entries.

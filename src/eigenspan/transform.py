@@ -192,10 +192,12 @@ def make_interval(tr, a, b):
     Raises
     ------
     IntervalError
-        If a >= b, if [a, b] is not inside [lambda_min_est, lambda_max_est],
+        If a or b is NaN, if a >= b, if [a, b] is not inside [lambda_min_est, lambda_max_est],
         or if the mapped endpoints collapse (a_t >= b_t).
     """
     lo, hi = tr.lambda_min_est, tr.lambda_max_est
+    if a != a or b != b:
+        raise IntervalError(f"interval ends must be numbers, got [{a}, {b}]")
     if not a < b:
         raise IntervalError(f"empty interval: a = {a} must be < b = {b}")
     if a < lo or b > hi:

@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 import eigenspan
-from eigenspan.cli import main
+from eigenspan import count_interval, plan_interval
+from eigenspan.cli import build_parser, main
 from eigenspan import fit_slope
 
 from helpers import force_panels, laplacian_1d, laplacian_2d, laplacian_eigs
@@ -184,6 +185,18 @@ def test_probe_nan_point_exits_1_naming_the_range(capsys):
     assert captured.err == "eigenspan probe: points must lie in [-1, 1], got nan\n"
 
 
+@pytest.mark.parametrize("argv, ends", [
+    (["probe", "--a", "nan", "--b", "0.4", "--p-degree", "0", "--points=0.1"], "[nan, 0.4]"),
+    (["count", "--matrix-path", "lap12", "--a", "1.9", "--b", "nan"], "[1.9, nan]"),
+], ids=["probe-a", "count-b"])
+def test_nan_interval_end_exits_1_naming_the_ends(matrices, capsys, argv, ends):
+    rc = main([matrices.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"eigenspan {argv[0]}: interval ends must be numbers, got {ends}\n"
+
+
 def test_empty_interval_exits_1(matrices, capsys):
     rc = main(["solve", "--matrix-path", matrices["diag200"], "--a", "0.5", "--b", "0.1"])
     assert rc == 1
@@ -311,6 +324,14 @@ def test_probe_degree_grid_exits_1_with_one_line(capsys, flag, bound):
     assert captured.err == f"eigenspan probe: {flag} must be >= {bound}, got 0\n"
 
 
+def test_probe_negative_p_degree_exits_1_naming_the_flag(capsys):
+    rc = main(["probe", "--a", "-0.2", "--b", "0.4", "--p-degree", "-1", "--points=0.1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "eigenspan probe: --p-degree must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("grid, d_min, d_max", [
     ([], 100, 0),
     (["--d-min", "300", "--n-degrees", "3"], 300, 200),
@@ -322,6 +343,23 @@ def test_probe_reversed_degree_range_exits_1_with_one_line(capsys, grid, d_min, 
     assert rc == 1
     assert captured.out == ""
     assert captured.err == f"eigenspan probe: --d-max must be >= --d-min = {d_min}, got {d_max}\n"
+
+
+# What the CLI sets where the policy has no value: "auto" for the count verb's
+# filter degree, and the block size of a grid that runs no count.
+_CLI_OWNED = {"count": {"degree": 2000}, "conditioning": {"ell": 8}}
+
+
+@pytest.mark.parametrize("verb", ["solve", "count", "baseline", "bench", "conditioning"])
+def test_solve_flags_default_to_the_policy_keywords(verb):
+    policy = {**count_interval.__kwdefaults__, **plan_interval.__kwdefaults__}
+    argv = [verb, "--matrix-path", "m.mtx", "--a", "0", "--b", "1"]
+    args = vars(build_parser().parse_args(argv))
+    args["bounds"] = args.pop("spectral_bounds")
+    shared = policy.keys() & args.keys()
+    assert shared >= {"bounds", "lanczos_steps", "seed"}
+    expected = {key: _CLI_OWNED.get(verb, {}).get(key, policy[key]) for key in shared}
+    assert {key: args[key] for key in shared} == expected
 
 
 def test_unknown_command_exits_1(capsys):

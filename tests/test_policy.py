@@ -85,6 +85,13 @@ def test_count_degree_auto_is_the_filter_degree():
     assert plan.degree == degree
 
 
+def test_count_and_plan_default_their_shared_keywords_alike():
+    count, plan = count_interval.__kwdefaults__, plan_interval.__kwdefaults__
+    shared = count.keys() & plan.keys()
+    assert shared == {"m", "seed", "degree"}
+    assert {key: count[key] for key in shared} == {key: plan[key] for key in shared}
+
+
 def test_unknown_method_is_rejected_before_the_count(monkeypatch):
     import eigenspan.policy
 

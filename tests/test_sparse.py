@@ -81,21 +81,29 @@ def test_non_square_size_line_rejected():
         parse_matrix_market(text)
 
 
-@pytest.mark.parametrize(
-    "header",
-    [
-        "%%MatrixMarket matrix coordinate complex symmetric",
-        "%%MatrixMarket matrix coordinate pattern symmetric",
-        "%%MatrixMarket matrix coordinate integer general",
-        "%%MatrixMarket matrix array real general",
-        "%%MatrixMarket vector coordinate real general",
-        "%%MatrixMarket matrix coordinate real skew-symmetric",
-        "%%MatrixMarket matrix coordinate real",
-    ],
-)
+# Each unsupported header with the whole message it is refused with.
+UNSUPPORTED_HEADERS = {
+    "%%MatrixMarket matrix coordinate complex symmetric":
+        "line 1: field 'complex' not supported (only 'real')",
+    "%%MatrixMarket matrix coordinate pattern symmetric":
+        "line 1: field 'pattern' not supported (only 'real')",
+    "%%MatrixMarket matrix coordinate integer general":
+        "line 1: field 'integer' not supported (only 'real')",
+    "%%MatrixMarket matrix array real general":
+        "line 1: format 'array' not supported (only 'coordinate')",
+    "%%MatrixMarket vector coordinate real general":
+        "line 1: object 'vector' not supported (only 'matrix')",
+    "%%MatrixMarket matrix coordinate real skew-symmetric":
+        "line 1: symmetry 'skew-symmetric' not supported (only 'symmetric' or 'general')",
+    "%%MatrixMarket matrix coordinate real": "line 1: header has 4 tokens, expected 5",
+}
+
+
+@pytest.mark.parametrize("header", list(UNSUPPORTED_HEADERS))
 def test_unsupported_headers_rejected(header):
-    with pytest.raises(MatrixFormatError, match="line 1"):
+    with pytest.raises(MatrixFormatError) as exc:
         parse_matrix_market(header + "\n1 1 1\n1 1 1.0\n")
+    assert str(exc.value) == UNSUPPORTED_HEADERS[header]
 
 
 def test_missing_banner_rejected():

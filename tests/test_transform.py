@@ -123,6 +123,13 @@ def test_make_interval_rejects_bad_intervals():
         make_interval(tr, 3.0, 4.5)
 
 
+@pytest.mark.parametrize("a, b", [(float("nan"), 0.4), (1.9, float("nan"))])
+def test_make_interval_names_a_nan_end(a, b):
+    with pytest.raises(IntervalError) as exc:
+        make_interval(exact_transform(0.0, 4.0), a, b)
+    assert str(exc.value) == f"interval ends must be numbers, got [{a}, {b}]"
+
+
 @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 8.0), (8.0, 0.0)])
 def test_exact_transform_refuses_non_finite_or_unordered_bounds(lo, hi):
     with pytest.raises(ValueError) as excinfo:
