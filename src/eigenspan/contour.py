@@ -173,7 +173,6 @@ def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000):
     # Per-column results, written when a column stops; a zero column keeps
     # the initial values.
     x = np.zeros((n, k), dtype=np.complex128)
-    mv = np.zeros(k, dtype=np.int64)
     iters = np.zeros(k, dtype=np.int64)
     relres = np.zeros(k)
     converged = np.ones(k, dtype=bool)
@@ -190,8 +189,7 @@ def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000):
     )
 
     def shifted_product():
-        """(z_c I - A) r_c for every running column, charged once per column."""
-        mv[w.cols] += 1
+        """(z_c I - A) r_c for every running column: one product per column and iteration."""
         ar = w.z * w.r
         ar -= matvec(a, w.r)
         return ar
@@ -232,8 +230,8 @@ def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000):
     retire(np.ones(w.cols.size, dtype=bool), it, False)  # maxit reached
 
     return x, [
-        ShiftedSolveStats(int(c), int(i), float(r), bool(f))
-        for c, i, r, f in zip(mv, iters, relres, converged)
+        ShiftedSolveStats(int(i), int(i), float(r), bool(f))
+        for i, r, f in zip(iters, relres, converged)
     ]
 
 

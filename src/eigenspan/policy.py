@@ -82,7 +82,13 @@ def count_interval(a, lo, hi, *, count_degree="auto", samples=30, seed=0, bounds
     """The count step: (transform, interval, filter degree, CountEstimate).
 
     The count runs at ``count_degree``, or at the filter degree for "auto".
+    ``samples`` and the degrees given are checked before Lanczos runs.
     """
+    check_at_least("samples", samples, 1)
+    if count_degree != "auto":
+        check_at_least("count degree", count_degree, 2)
+    if degree != "auto":
+        check_degree(degree)
     tr, iv = locate_interval(a, lo, hi, bounds, lanczos_steps, seed)
     degree = filter_degree(iv, m, degree, d_factor, k_factor)
     d = degree if count_degree == "auto" else count_degree
@@ -97,8 +103,6 @@ def plan_interval(a, lo, hi, *, m=4, ell="auto", degree="auto", basis="chebyshev
     ``count_options`` are the rest of ``count_interval``'s keywords.
     """
     check_at_least("m", m, 1)
-    if degree != "auto":
-        check_degree(degree)
     check_node_count(quad_nodes)
     check_shift_tol(krylov_tol)
     check_stopping(tol, max_restarts)

@@ -25,6 +25,7 @@ from eigenspan import count_interval, plan_interval
 from eigenspan.cli import build_parser, main
 from eigenspan import fit_slope
 
+import report_diff
 from helpers import force_panels, laplacian_1d, laplacian_2d, laplacian_eigs
 
 
@@ -50,7 +51,13 @@ def matrices(tmp_path_factory):
     save_matrix_market(laplacian_1d(1000), lap)
     small = root / "lap12.mtx"
     save_matrix_market(laplacian_1d(12), small)
-    return {"diag200": str(diag), "lap1000": str(lap), "lap12": str(small)}
+    paths = {"diag200": str(diag), "lap1000": str(lap), "lap12": str(small)}
+    # n = 9801 on the 99x99 grid is no multiple of DOT_LANES, so the count's
+    # rings carry zero rows below n.
+    for k in (100, 99):
+        paths[f"grid{k}"] = str(root / f"lap2d{k}.mtx")
+        save_matrix_market(laplacian_2d(k), paths[f"grid{k}"])
+    return paths
 
 
 def _run_json(argv, path):
@@ -201,6 +208,20 @@ def test_empty_interval_exits_1(matrices, capsys):
     rc = main(["solve", "--matrix-path", matrices["diag200"], "--a", "0.5", "--b", "0.1"])
     assert rc == 1
     assert "interval" in capsys.readouterr().err
+
+
+def test_count_degree_below_two_exits_1_before_lanczos(matrices, capsys, monkeypatch):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("Lanczos or the count pass ran")
+
+    monkeypatch.setattr(eigenspan.policy, "estimate_spectral_range", no_pass)
+    monkeypatch.setattr(eigenspan.policy, "estimate_count", no_pass)
+    rc = main(["count", "--matrix-path", matrices["lap12"], "--a", "1.9", "--b", "2.1",
+               "--count-degree", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "eigenspan count: need count degree >= 2, got 1\n"
 
 
 @pytest.mark.parametrize("flag", ["--samples", "--m", "--ell", "--max-restarts", "--tol"])
@@ -406,6 +427,61 @@ def test_count_with_bounds_above_lambda_min_exits_1_naming_the_step(tmp_path, ca
     assert 2 <= int(found.group(1)) <= 1384
 
 
+def test_divergent_count_names_the_same_step_on_one_and_on_four_panels(
+    matrices, capsys, monkeypatch
+):
+    # lambda_max of the 100x100 grid is 4 + 4 cos(pi / 101) ~ 7.996, above
+    # the given 7.9.
+    for panels in (1, 4):
+        force_panels(monkeypatch, panels)
+        rc = main(["count", "--matrix-path", matrices["grid100"], "--a", "0.5", "--b", "1.0",
+                   "--spectral-bounds", "0,7.9"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "eigenspan count: recurrence diverged at step 32 of 2000: the iterate outgrew 16 "
+            "times the start block, so the spectral transform does not enclose the spectrum\n"
+        )
+
+
+@pytest.mark.parametrize("grid", ["grid100", "grid99"])
+def test_count_report_is_the_same_on_one_and_on_four_panels(matrices, tmp_path, monkeypatch, grid):
+    reports = []
+    for panels in (1, 4):
+        force_panels(monkeypatch, panels)
+        rc, report = _run_json(
+            ["count", "--matrix-path", matrices[grid], "--a", "0.5", "--b", "1.0",
+             "--count-degree", "300"],
+            tmp_path / f"count{panels}.json",
+        )
+        assert rc == 0
+        reports.append(report)
+    assert list(report_diff.diff(*reports)) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity mask here")
+def test_count_pinned_to_one_cpu_writes_the_same_report(matrices, tmp_path):
+    # The child pins itself, and only itself, to one CPU, so usable_cpus()
+    # reads 1 there and the count runs whole; here it runs on up to every
+    # usable CPU.  Given bounds keep Lanczos and its BLAS threads out of it.
+    argv = ["count", "--matrix-path", matrices["grid99"], "--a", "0.5", "--b", "1.0",
+            "--count-degree", "300", "--spectral-bounds", "0,8", "--report-path"]
+    pinned, here = tmp_path / "pinned.json", tmp_path / "here.json"
+    code = (
+        "import os\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from eigenspan.cli import main\n"
+        "from eigenspan.filters import usable_cpus\n"
+        f"assert main({argv + [str(pinned)]!r}) == 0\n"
+        "print(usable_cpus())\n"
+    )
+    assert _child(code) == ["1"]
+    assert main(argv + [str(here)]) == 0
+    old, new = (json.loads(path.read_text()) for path in (pinned, here))
+    assert list(report_diff.diff(old, new)) == []
+
+
 class _ColumnSpy:
     """Counts the block columns pushed through a wrapped CSR matrix."""
 
@@ -485,17 +561,20 @@ def test_count_reports_its_mv_bill(matrices, tmp_path, monkeypatch):
     assert [spy.columns for spy in loaded] == [0]
 
 
-def test_count_on_panels_reports_its_mv_bill(matrices, tmp_path, monkeypatch):
+@pytest.mark.parametrize("matrix, options, bill", [
+    ("lap1000", ["--a", "1.9", "--b", "2.1", "--spectral-bounds", "0,4", "--count-degree", "301",
+                 "--samples", "7"], 151 * 7),
+    # The count verb's default degree 2000 and 30 probes: ceil(2000 / 2) * 30.
+    ("grid100", ["--a", "0.5", "--b", "1.0", "--spectral-bounds", "0,8"], 1000 * 30),
+], ids=["lap1000-degree-301", "grid100-default-degree"])
+def test_count_on_panels_reports_its_mv_bill(matrices, tmp_path, monkeypatch, matrix, options, bill):
     loaded, matvec_calls, add = _spy_on_count_products(monkeypatch)
     force_panels(monkeypatch, 3)
-    rc, report = _run_json(
-        ["count", "--matrix-path", matrices["lap1000"], "--a", "1.9", "--b", "2.1",
-         "--spectral-bounds", "0,4", "--count-degree", "301", "--samples", "7"],
-        tmp_path / "count.json",
-    )
+    rc, report = _run_json(["count", "--matrix-path", matrices[matrix]] + options,
+                           tmp_path / "count.json")
     assert rc == 0
-    assert report["count_estimate"]["mv_exact"] == 151 * 7
-    assert add.columns == 151 * 7
+    assert report["count_estimate"]["mv_exact"] == bill
+    assert add.columns == bill
     assert len(add.threads) == 3
     assert matvec_calls == []
     assert [spy.columns for spy in loaded] == [0]

@@ -121,6 +121,27 @@ def test_malformed_bounds_are_rejected_before_lanczos_and_the_count(monkeypatch,
         solve_interval(a, 1.7, 2.3, bounds=bounds)
 
 
+@pytest.mark.parametrize("step, options, message", [
+    (count_interval, {"count_degree": 1}, "need count degree >= 2, got 1"),
+    (count_interval, {"samples": 0}, "need samples >= 1, got 0"),
+    (count_interval, {"degree": 1}, "need degree >= 2, got 1"),
+    (solve_interval, {"count_degree": 1}, "need count degree >= 2, got 1"),
+], ids=["count-degree", "samples", "degree", "solve-count-degree"])
+def test_count_arguments_are_rejected_before_lanczos_and_the_count(
+    monkeypatch, step, options, message
+):
+    import eigenspan.policy
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("Lanczos or the count pass ran")
+
+    monkeypatch.setattr(eigenspan.policy, "estimate_spectral_range", no_pass)
+    monkeypatch.setattr(eigenspan.policy, "estimate_count", no_pass)
+    with pytest.raises(ValueError) as excinfo:
+        step(laplacian_1d(12), 1.7, 2.3, **options)
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("bounds", [(0.0, math.inf), (math.nan, 8.0)], ids=["inf", "nan"])
 def test_non_finite_bounds_are_refused_naming_the_pair(bounds):
     with pytest.raises(ValueError) as excinfo:
@@ -128,19 +149,22 @@ def test_non_finite_bounds_are_refused_naming_the_pair(bounds):
     assert str(excinfo.value) == f"need finite lambda_min < lambda_max, got [{bounds[0]}, {bounds[1]}]"
 
 
-def test_cli_solve_writes_the_library_report(tmp_path):
+# At seed 0 the count reads about 7.6 for the 6 eigenvalues in [1.9, 2.1], so
+# the target of 7 is never met and the solve exits 2 (a known overshoot).
+@pytest.mark.parametrize("seed, exit_code", [(0, 2), (1, 0)], ids=["seed-0", "seed-1"])
+def test_cli_solve_writes_the_library_report(tmp_path, seed, exit_code):
     path, out = str(tmp_path / "lap1d.mtx"), tmp_path / "solve.json"
     a = laplacian_1d(200)
     save_matrix_market(a, path)
-    assert main(["solve", "--matrix-path", path, "--a", "1.9", "--b", "2.1", "--seed", "1",
-                 "--report-path", str(out)]) == 0
-    rep, est, plan = solve_interval(a, 1.9, 2.1, seed=1)
+    rc = main(["solve", "--matrix-path", path, "--a", "1.9", "--b", "2.1", "--seed", str(seed),
+               "--report-path", str(out)])
+    rep, est, plan = solve_interval(a, 1.9, 2.1, seed=seed)
     config = {
-        "matrix_path": path, "a": 1.9, "b": 2.1, "samples": 30, "seed": 1,
+        "matrix_path": path, "a": 1.9, "b": 2.1, "samples": 30, "seed": seed,
         "spectral_bounds": "auto", "lanczos_steps": 50, "count_degree": est.d, "m": 4,
         "tol": 1e-10, "max_restarts": 30, "ell": plan.ell, "n_ev_target": plan.n_ev_target,
         "degree": plan.degree, "basis": "chebyshev",
     }
     expected = _solve_report_json(rep, "solve", config, plan.transform, est, 0.0)
-    assert rep.converged
+    assert rc == exit_code == (0 if rep.converged else 2)
     assert list(report_diff.diff(json.loads(json.dumps(expected)), json.loads(out.read_text()))) == []
