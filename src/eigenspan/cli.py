@@ -308,9 +308,10 @@ def cmd_probe(args):
     if args.d_max < args.d_min:
         raise ValueError(f"--d-max must be >= --d-min = {args.d_min}, got {args.d_max}")
     iv = mapped_interval(args.a, args.b)
-    degrees = np.unique(
-        np.logspace(np.log10(args.d_min), np.log10(args.d_max), args.n_degrees).astype(int)
-    )
+    # 10**log10(d) can land just below the integer d: round up by 1e-12
+    # relative before the floor, so both ends of the range stay in the grid.
+    grid = np.logspace(np.log10(args.d_min), np.log10(args.d_max), args.n_degrees)
+    degrees = np.unique(np.clip(np.floor(grid * (1 + 1e-12)), args.d_min, args.d_max).astype(int))
     rows = filter_probe(iv, args.p_degree, args.points, degrees)
     _emit_text(probe_csv(rows), args.out)
     return 0

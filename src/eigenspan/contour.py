@@ -13,8 +13,9 @@ one application per iteration.  The moments are one contraction of the
 (n, m * ell) block [S_0 | ... | S_{m-1}].  The restart /
 Rayleigh-Ritz driver (``engine.restart_loop``) is shared with the
 polynomial-filter solver, so the two methods differ only in how the moment
-blocks are built; the shifted solve's per-column ``mv_count`` is the one
-bill for its matrix applications.
+blocks are built.  The shifted solve bills the run's counter at its one
+matrix product, as every other product is billed; the per-column
+``mv_count`` is a statistic of the report.
 """
 
 import math
@@ -141,7 +142,7 @@ class _Running:
             self.__dict__[name] = arr.compress(mask, axis=-1)
 
 
-def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000):
+def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000, counter=None):
     """Solve (z_c I - A) x_c = b_c for every column c of B, with Im(z_c) != 0.
 
     B is an (n, k) block and z holds k complex shifts, one per column; a
@@ -151,7 +152,8 @@ def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000):
     products.  All running columns advance together, one block matrix
     application per step, and a column leaves the block as soon as it
     stops, so only running columns are multiplied: a column is billed one
-    matrix application per iteration.  A column stops at
+    matrix application per iteration, charged to the optional MVCounter
+    ``counter`` by that product.  A column stops at
     relative residual <= tol (tol > 0), at a vanishing bilinear form, or
     after maxit iterations; the last two are reported through
     ``converged`` rather than raised, so a surrounding solve can continue
@@ -191,7 +193,7 @@ def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000):
     def shifted_product():
         """(z_c I - A) r_c for every running column: one product per column and iteration."""
         ar = w.z * w.r
-        ar -= matvec(a, w.r)
+        ar -= matvec(a, w.r, counter)
         return ar
 
     def retire(mask, it, flag):
@@ -271,11 +273,10 @@ def run_baseline(
     def build_block(v, restart, counter):
         # One blocked solve per restart: column j * ell + c is (z_j I - A) x = v_c.
         x, col_stats = shifted_krylov_solve(
-            a, np.repeat(nodes, ell), np.tile(v, nodes.size), tol=krylov_tol
+            a, np.repeat(nodes, ell), np.tile(v, nodes.size), tol=krylov_tol, counter=counter
         )
         for j, zj in enumerate(nodes):
             stats = ShiftedSolveStats.combine(col_stats[j * ell : (j + 1) * ell])
-            counter.add(stats.mv_count)
             shift_log.append({"restart": restart, "node": complex(zj), "stats": stats})
         s = 2.0 * np.einsum("kj,njc->nkc", coeffs, x.reshape(n, nodes.size, ell)).real
         return s.reshape(n, m * ell)

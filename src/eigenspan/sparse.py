@@ -298,13 +298,6 @@ def parse_matrix_market(text):
         raise MalformedFileError(f"line {size_lineno}: dimension must be positive")
     if n_entries < 0:
         raise MalformedFileError(f"line {size_lineno}: negative entry count")
-    # A count above the lines left cannot be met: refuse it before
-    # ``_scan_entries`` sizes its arrays by it.
-    if n_entries > len(lines) - size_lineno:
-        raise MalformedFileError(
-            f"line {len(lines)}: file ends after {sum(1 for _ in data)} of {n_entries} "
-            "declared entries"
-        )
     # Only a '%' after the size line (a comment line or a bad entry) makes
     # the entry lines go through a filter one by one; np.loadtxt skips
     # blank lines itself.
@@ -315,7 +308,7 @@ def parse_matrix_market(text):
     parsed = _load_entries(entries, nrows, n_entries)
     if parsed is None:
         parsed = _scan_entries(data, nrows, n_entries, len(lines))
-    rows, cols, vals = parsed
+    rows, cols, vals = parsed["i"] - 1, parsed["j"] - 1, parsed["v"]
 
     if symm == "symmetric":
         off = rows != cols
@@ -330,7 +323,7 @@ def parse_matrix_market(text):
 
 
 def _load_entries(entries, n, n_entries):
-    """Bulk-parse entry lines into 0-based (rows, cols, vals), or None.
+    """Bulk-parse entry lines into 1-based ``_ENTRY`` records, or None.
 
     ``entries`` may hold blank lines, which ``np.loadtxt`` skips.  None
     means no entries, a count other than ``n_entries``, or lines that break
@@ -347,23 +340,22 @@ def _load_entries(entries, n, n_entries):
         return None
     if parsed.size != n_entries:
         return None
-    rows, cols, vals = parsed["i"] - 1, parsed["j"] - 1, parsed["v"]
-    in_range = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
-    return (rows, cols, vals) if in_range.all() and np.isfinite(vals).all() else None
+    rows, cols = parsed["i"], parsed["j"]
+    in_range = (rows >= 1) & (rows <= n) & (cols >= 1) & (cols <= n)
+    return parsed if in_range.all() and np.isfinite(parsed["v"]).all() else None
 
 
 def _scan_entries(data, n, n_entries, n_lines):
     """Parse the (line number, stripped line) entries of ``data`` one at a time.
 
     Raises MalformedFileError at the first line that breaks a rule, in line
-    order; returns 0-based (rows, cols, vals) if none does.
+    order; returns the 1-based ``_ENTRY`` records of the lines read if none
+    does.  Nothing is sized by ``n_entries``: it is only checked against
+    what was read.
     """
-    rows = np.empty(n_entries, dtype=np.int64)
-    cols = np.empty(n_entries, dtype=np.int64)
-    vals = np.empty(n_entries, dtype=np.float64)
-    seen = 0
+    records = []
     for lineno, stripped in data:
-        if seen >= n_entries:
+        if len(records) == n_entries:
             raise MalformedFileError(
                 f"line {lineno}: more than the declared {n_entries} entries"
             )
@@ -384,15 +376,12 @@ def _scan_entries(data, n, n_entries, n_lines):
             )
         if not math.isfinite(v):
             raise MalformedFileError(f"line {lineno}: value is not finite")
-        rows[seen] = i - 1
-        cols[seen] = j - 1
-        vals[seen] = v
-        seen += 1
-    if seen != n_entries:
+        records.append((i, j, v))
+    if len(records) != n_entries:
         raise MalformedFileError(
-            f"line {n_lines}: file ends after {seen} of {n_entries} declared entries"
+            f"line {n_lines}: file ends after {len(records)} of {n_entries} declared entries"
         )
-    return rows, cols, vals
+    return np.array(records, dtype=_ENTRY)
 
 
 def load_matrix_market(path):

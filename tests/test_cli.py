@@ -143,6 +143,16 @@ def test_huge_declared_entry_count_exits_1(tmp_path, capsys):
     ]
 
 
+def test_bad_line_in_a_short_file_exits_1_naming_the_line(tmp_path, capsys):
+    bad = tmp_path / "short.mtx"
+    bad.write_text("%%MatrixMarket matrix coordinate real general\n2 2 5\n1 1 x\n")
+    rc = main(["count", "--matrix-path", str(bad), "--a", "0", "--b", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "eigenspan count: line 3: entry is not 'int int real'"
+    ]
+
+
 @pytest.mark.parametrize("verb", ["count", "solve"])
 def test_non_finite_matrix_value_exits_1_naming_the_line(tmp_path, capsys, verb):
     bad = tmp_path / "nan.mtx"
@@ -621,6 +631,20 @@ def test_probe_csv_refits_to_expected_decay(tmp_path, p_degree, point, kind, slo
     assert np.all(errors <= bounds + 1e-12)
     fitted = fit_slope([int(r["d"]) for r in rows], errors)
     assert abs(fitted - slope) <= 0.3
+
+
+@pytest.mark.parametrize("grid, degrees", [
+    (["--d-min", "8", "--d-max", "8", "--n-degrees", "1"], [8]),
+    (["--d-min", "7", "--d-max", "8", "--n-degrees", "2"], [7, 8]),
+], ids=["one-degree", "both-ends"])
+def test_probe_degree_grid_keeps_both_ends_of_its_range(tmp_path, grid, degrees):
+    # 10**log10(8) is just below 8, so truncating the grid would probe 7.
+    out = tmp_path / "probe.csv"
+    rc = main(["probe", "--a", "-0.2", "--b", "0.4", "--p-degree", "0", "--points=0.1",
+               *grid, "--out", str(out)])
+    assert rc == 0
+    with out.open() as fh:
+        assert [int(r["d"]) for r in csv.DictReader(fh)] == degrees
 
 
 # ---------------------------------------------------------------------------

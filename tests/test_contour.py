@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eigenspan import (
+    MVCounter,
     SparseSymmetric,
     exact_transform,
     make_filter_spec,
@@ -248,11 +249,13 @@ def test_blocked_solve_matches_one_column_cocg_per_column(rng):
     tol, maxit = 1e-12, 80
     spy = _SpyCSR(a._csr)
     a._csr = spy
-    x, stats = shifted_krylov_solve(a, shifts, b, tol=tol, maxit=maxit)
+    counter = MVCounter()
+    x, stats = shifted_krylov_solve(a, shifts, b, tol=tol, maxit=maxit, counter=counter)
     a._csr = spy.csr
 
     assert len(stats) == 6
     assert spy.columns == sum(s.mv_count for s in stats)
+    assert counter.count == spy.columns
     for col, z in enumerate(shifts):
         xc, iters, relres, converged, mvs = _cocg_one_column(a, z, b[:, col], tol, maxit)
         got = stats[col]

@@ -194,6 +194,20 @@ def test_huge_declared_entry_count_rejected_before_allocating():
         parse_matrix_market(text)
 
 
+def test_a_bad_line_in_a_file_short_of_its_declared_count_is_named():
+    # The file holds fewer lines than it declares, but the fault is line 3.
+    text = "%%MatrixMarket matrix coordinate real general\n2 2 5\n1 1 x\n"
+    with pytest.raises(MalformedFileError, match="^line 3: entry is not 'int int real'$"):
+        parse_matrix_market(text)
+
+
+@pytest.mark.parametrize("symmetry", ["symmetric", "general"])
+def test_zero_declared_entries_give_an_empty_matrix(symmetry):
+    a = parse_matrix_market(f"%%MatrixMarket matrix coordinate real {symmetry}\n3 3 0\n")
+    assert (a.n, a.nnz) == (3, 0)
+    np.testing.assert_array_equal(a.toarray(), np.zeros((3, 3)))
+
+
 def test_too_many_entries_rejected():
     text = (
         "%%MatrixMarket matrix coordinate real symmetric\n"
