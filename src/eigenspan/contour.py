@@ -8,9 +8,11 @@ shifted systems of a restart, one (node, column of V) pair per column, run
 as one blocked COCG iteration with one shift per column; each column keeps
 its own stopping rule and leaves the block when it stops, so every block
 matrix application multiplies running columns only and a column is billed
-one application per iteration.  The moments are one contraction of the
-(m, q/2) coefficients w_j z_j^k with the solutions, returned as the
-(n, m * ell) block [S_0 | ... | S_{m-1}].  The restart /
+one application per iteration.  A is real, so that complex product runs in
+real arithmetic: ``matvec`` multiplies the block's float64 view, twice as
+many real columns, and bills one MV per complex column.  The moments are
+one contraction of the (m, q/2) coefficients w_j z_j^k with the solutions,
+returned as the (n, m * ell) block [S_0 | ... | S_{m-1}].  The restart /
 Rayleigh-Ritz driver (``engine.restart_loop``) is shared with the
 polynomial-filter solver, so the two methods differ only in how the moment
 blocks are built.  The shifted solve bills the run's counter at its one
@@ -153,9 +155,10 @@ def shifted_krylov_solve(a, z, b, tol=1e-12, maxit=20000, counter=None):
     application per step, and a column leaves the block as soon as it
     stops, so only running columns are multiplied: a column is billed one
     matrix application per iteration, charged to the optional MVCounter
-    ``counter`` by that product.  A column stops at
-    relative residual <= tol (tol > 0), at a vanishing bilinear form, or
-    after maxit iterations; the last two are reported through
+    ``counter`` by that product.  The complex block is multiplied in real
+    arithmetic, as its float64 view (see ``sparse.matvec``).  A column
+    stops at relative residual <= tol (tol > 0), at a vanishing bilinear
+    form, or after maxit iterations; the last two are reported through
     ``converged`` rather than raised, so a surrounding solve can continue
     with degraded accuracy.  A zero column gets x = 0 at no cost.
 

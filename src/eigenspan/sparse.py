@@ -6,6 +6,13 @@ mirrored on read so the stored pattern always contains both (i, j) and
 
 ``scipy.sparse`` is imported at the first CSR build, not with this module,
 so a process that never builds a matrix never loads it.
+
+Every block product with A is one call of scipy's in-place CSR kernel
+(``_add_product``): the count's step adds its products into an iterate
+through ``matvec_add``, and ``matvec`` multiplies a dense block through the
+matrix's own ``@`` (``_csr.BlockCSR``).  Since A is real, a complex block is
+multiplied in real arithmetic, as its float64 view; it is still billed one
+MV per complex column.
 """
 
 import functools
@@ -48,9 +55,12 @@ class MVCounter:
 class SparseSymmetric:
     """Real symmetric sparse matrix stored as explicit (both-triangles) CSR.
 
-    The constructor arguments are handed to one scipy CSR matrix; the three
+    The constructor arguments are handed to one scipy CSR matrix (a
+    ``_csr.BlockCSR``, whose ``@`` multiplies a dense float64 or complex128
+    block by one kernel call, a complex one in real arithmetic); the three
     array attributes are then read-only views of its arrays, so the indices
     are stored once, in scipy's index dtype (int32 whenever it fits).
+    Complex values are refused with MatrixFormatError.
 
     Attributes
     ----------
@@ -68,13 +78,18 @@ class SparseSymmetric:
     row_ptr: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
-    _csr: "scipy.sparse.csr_matrix" = field(init=False, repr=False, compare=False)
+    _csr: "_csr.BlockCSR" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        import scipy.sparse as sp
+        from ._csr import BlockCSR
 
-        self._csr = sp.csr_matrix(
-            (np.asarray(self.values, dtype=np.float64), self.col_idx, self.row_ptr),
+        values = np.asarray(self.values)
+        if values.dtype.kind == "c":
+            raise MatrixFormatError(
+                f"values have dtype {values.dtype}: only real symmetric matrices are supported"
+            )
+        self._csr = BlockCSR(
+            (values.astype(np.float64, copy=False), self.col_idx, self.row_ptr),
             shape=(self.n, self.n),
         )
         self.row_ptr, self.col_idx, self.values = (
@@ -106,10 +121,14 @@ class SparseSymmetric:
 
     @classmethod
     def from_dense(cls, a):
-        """Build from a dense array, dropping exact zeros."""
+        """Build from a dense array, dropping exact zeros.
+
+        Complex input stays complex, so it is refused rather than cast to real.
+        """
         import scipy.sparse as sp
 
-        return cls.from_scipy(sp.csr_matrix(np.asarray(a, dtype=np.float64)))
+        dtype = np.complex128 if np.iscomplexobj(a) else np.float64
+        return cls.from_scipy(sp.csr_matrix(np.asarray(a, dtype=dtype)))
 
     def toarray(self):
         return self._csr.toarray()
@@ -127,12 +146,17 @@ def _read_only(x):
 def matvec(a, x, counter=None):
     """Apply a sparse symmetric matrix to a vector or block of vectors.
 
+    A float64 or complex128 block is multiplied by one kernel call, a
+    complex one in real arithmetic as its float64 view; a vector takes
+    scipy's one-vector kernel.
+
     Parameters
     ----------
     a : SparseSymmetric
     x : ndarray, shape (n,) or (n, m)
     counter : MVCounter, optional
-        Incremented by the number of columns of ``x``.
+        Incremented by the number of columns of ``x``: a complex column is
+        one MV, as a real one is.
 
     Returns
     -------
@@ -170,15 +194,22 @@ def matvec_add(a, x, out, counter=None):
         raise ValueError(
             f"out must be a writeable C-contiguous float64 array of shape {x.shape}"
         )
+    _add_product(a.shape, a.row_ptr, a.col_idx, a.values, x, out)
+    if counter is not None:
+        counter.add(1 if x.ndim == 1 else x.shape[1])
+
+
+def _add_product(shape, row_ptr, col_idx, values, x, out):
+    """Add the CSR matrix times ``x`` into ``out`` by one call of scipy's in-place kernel.
+
+    ``x`` (flattened in C order, so copied if not C-contiguous) and ``out``
+    (C-contiguous, written in place) have shape (n,) or (n, m).
+    """
     columns = 1 if x.ndim == 1 else x.shape[1]
     try:
-        _add_product_kernel()(
-            a.n, a.n, columns, a.row_ptr, a.col_idx, a.values, x.ravel(), out.ravel()
-        )
+        _add_product_kernel()(*shape, columns, row_ptr, col_idx, values, x.ravel(), out.ravel())
     except (TypeError, ValueError) as exc:
         raise _kernel_error(f"rejected its arguments ({exc})") from None
-    if counter is not None:
-        counter.add(columns)
 
 
 def _kernel_error(problem):

@@ -1,4 +1,4 @@
-"""Shared builders for model matrices with analytically known spectra."""
+"""Shared builders for model matrices with analytically known spectra, and a product spy."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,6 +43,21 @@ def random_spectrum_matrix(eigenvalues, rng):
     n = eigenvalues.size
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return (q * eigenvalues) @ q.T
+
+
+class ColumnSpy:
+    """Stands in for ``a._csr``; counts the columns pushed through the wrapped CSR matrix."""
+
+    def __init__(self, csr):
+        self.csr = csr
+        self.columns = 0
+
+    def __matmul__(self, x):
+        self.columns += 1 if np.ndim(x) == 1 else x.shape[1]
+        return self.csr @ x
+
+    def diagonal(self):
+        return self.csr.diagonal()
 
 
 def force_panels(monkeypatch, panels):

@@ -26,7 +26,7 @@ from eigenspan.cli import build_parser, main
 from eigenspan import fit_slope
 
 import report_diff
-from helpers import force_panels, laplacian_1d, laplacian_2d, laplacian_eigs
+from helpers import ColumnSpy, force_panels, laplacian_1d, laplacian_2d, laplacian_eigs
 
 
 DIAG_EV = np.linspace(-1.0, 1.0, 200)
@@ -492,21 +492,6 @@ def test_count_pinned_to_one_cpu_writes_the_same_report(matrices, tmp_path):
     assert list(report_diff.diff(old, new)) == []
 
 
-class _ColumnSpy:
-    """Counts the block columns pushed through a wrapped CSR matrix."""
-
-    def __init__(self, csr):
-        self.csr = csr
-        self.columns = 0
-
-    def __matmul__(self, x):
-        self.columns += 1 if np.ndim(x) == 1 else x.shape[1]
-        return self.csr @ x
-
-    def diagonal(self):
-        return self.csr.diagonal()
-
-
 class _AddSpy:
     """Wraps ``filters.matvec_add``; counts the columns it gets and the threads that call it."""
 
@@ -537,7 +522,7 @@ def _spy_on_count_products(monkeypatch):
 
     def load_with_spy(path):
         a = eigenspan.load_matrix_market(path)
-        loaded.append(_ColumnSpy(a._csr))
+        loaded.append(ColumnSpy(a._csr))
         a._csr = loaded[-1]
         return a
 

@@ -17,7 +17,7 @@ from eigenspan import (
     trapezoid_rule,
 )
 
-from helpers import laplacian_1d, random_symmetric
+from helpers import ColumnSpy, laplacian_1d, random_symmetric
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +224,6 @@ def _cocg_one_column(a, z, rhs, tol, maxit):
     return x, iters, relres, converged, mvs
 
 
-class _SpyCSR:
-    """Counts the columns pushed through the wrapped CSR matrix."""
-
-    def __init__(self, csr):
-        self.csr = csr
-        self.columns = 0
-
-    def __matmul__(self, x):
-        self.columns += 1 if np.ndim(x) == 1 else x.shape[1]
-        return self.csr @ x
-
-
 def test_blocked_solve_matches_one_column_cocg_per_column(rng):
     n = 120
     a = laplacian_1d(n)
@@ -247,7 +235,7 @@ def test_blocked_solve_matches_one_column_cocg_per_column(rng):
     # it needs more than maxit steps, every other nonzero column fewer.
     shifts = np.array([-1.0 + 0.5j, 4.5 + 0.7j, 1.0 + 1.0j, 2.0 + 0.5j, 2.0 + 0.01j, 5.0 + 1.0j])
     tol, maxit = 1e-12, 80
-    spy = _SpyCSR(a._csr)
+    spy = ColumnSpy(a._csr)
     a._csr = spy
     counter = MVCounter()
     x, stats = shifted_krylov_solve(a, shifts, b, tol=tol, maxit=maxit, counter=counter)

@@ -1,5 +1,7 @@
 """Matrix Market parsing, symmetric CSR storage, and counted matvec."""
 
+import copy
+import pickle
 import re
 import sys
 
@@ -21,7 +23,7 @@ from eigenspan import (
     write_matrix_market,
 )
 from eigenspan import sparse
-from helpers import laplacian_2d, random_symmetric
+from helpers import ColumnSpy, laplacian_2d, random_symmetric
 
 SYMMETRIC_2X2 = """%%MatrixMarket matrix coordinate real symmetric
 2 2 2
@@ -353,6 +355,21 @@ def test_from_dense_rejects_non_finite_values(value):
         SparseSymmetric.from_scipy(sp.csr_matrix(dense))
 
 
+COMPLEX_2X2 = [[2.0, 1.0 + 1.0j], [1.0 + 1.0j, 3.0]]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SparseSymmetric.from_scipy(sp.csr_matrix(COMPLEX_2X2)),
+    lambda: SparseSymmetric.from_dense(COMPLEX_2X2),
+    lambda: SparseSymmetric(2, [0, 2, 4], [0, 1, 0, 1], np.array(COMPLEX_2X2).ravel()),
+], ids=["from_scipy", "from_dense", "constructor"])
+def test_complex_values_are_refused_not_cast_to_real(build):
+    # Complex symmetric, so only the dtype is at fault.
+    with pytest.raises(MatrixFormatError,
+                       match="^values have dtype complex128: only real symmetric matrices"):
+        build()
+
+
 def test_csr_invariants_hold(rng):
     a = SparseSymmetric.from_dense(random_symmetric(9, rng))
     assert a.row_ptr[0] == 0
@@ -412,6 +429,76 @@ def test_matvec_dimension_mismatch():
     a = SparseSymmetric.from_dense(np.eye(4))
     with pytest.raises(ValueError):
         matvec(a, np.zeros(5))
+
+
+def _block_operands(n, rng):
+    """Finite 2-D float64 and complex128 operands of ``@`` by name, in several layouts."""
+    real = rng.standard_normal((n, 10))
+    cplx = real + 1j * rng.standard_normal((n, 10))
+    return {
+        "real": real[:, :4].copy(), "real-fortran": np.asfortranarray(real[:, :4]),
+        "real-columns": real[:, 3:7], "real-strided": real[:, ::3], "real-no-columns": real[:, :0],
+        "complex": cplx[:, :4].copy(), "complex-fortran": np.asfortranarray(cplx[:, :4]),
+        "complex-columns": cplx[:, 3:7], "complex-strided": cplx[:, ::3],
+        "complex-no-columns": cplx[:, :0],
+    }
+
+
+@pytest.mark.parametrize("name", list(_block_operands(1, np.random.default_rng(0))))
+def test_block_products_equal_scipys_own(rng, name):
+    a = SparseSymmetric.from_dense(random_symmetric(30, rng))
+    x = _block_operands(30, rng)[name]
+    got, expected = a._csr @ x, sp.csr_matrix(a._csr) @ x
+    assert (type(got), got.dtype, got.shape) == (np.ndarray, expected.dtype, expected.shape)
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("x", [
+    np.linspace(-1.0, 1.0, 30), np.linspace(-1.0, 1.0, 30) * (1.0 - 2.0j),
+    np.ones((30, 3), dtype=np.float32), np.ones((30, 3), dtype=np.complex64),
+    np.arange(90).reshape(30, 3), sp.random(30, 4, density=0.3, random_state=1, format="csr"),
+], ids=["real-1d", "complex-1d", "float32", "complex64", "int64", "sparse"])
+def test_vectors_other_dtypes_and_sparse_operands_take_scipys_own_product(rng, monkeypatch, x):
+    a = SparseSymmetric.from_dense(random_symmetric(30, rng))
+    expected = sp.csr_matrix(a._csr) @ x
+    monkeypatch.setattr(sparse, "_add_product_kernel", lambda: pytest.fail("block kernel called"))
+    got = a._csr @ x
+    assert (sp.issparse(got), got.dtype, got.shape) == (sp.issparse(expected), expected.dtype,
+                                                        expected.shape)
+    if sp.issparse(got):
+        got, expected = got.toarray(), expected.toarray()
+    assert np.array_equal(got, expected)
+
+
+def test_a_complex_matrix_scipy_derives_takes_scipys_own_product(rng):
+    # scipy's arithmetic keeps the subclass; the kernel path takes float64 matrices only.
+    a = SparseSymmetric.from_dense(random_symmetric(30, rng))
+    scaled = a._csr * 1j
+    x = _block_operands(30, rng)["real"]
+    got, expected = scaled @ x, sp.csr_matrix(scaled) @ x
+    assert got.dtype == expected.dtype == np.complex128
+    assert np.array_equal(got, expected)
+
+
+def test_matvec_bills_a_complex_block_one_mv_per_column(rng):
+    a = SparseSymmetric.from_dense(random_symmetric(12, rng))
+    z = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
+    expected = sp.csr_matrix(a._csr) @ z
+    spy = ColumnSpy(a._csr)
+    a._csr = spy
+    counter = MVCounter()
+    assert np.array_equal(matvec(a, z, counter), expected)
+    assert counter.count == spy.columns == 5
+
+
+@pytest.mark.parametrize("clone", [lambda a: pickle.loads(pickle.dumps(a)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_copied_matrix_multiplies_exactly_like_the_original(rng, clone):
+    a = SparseSymmetric.from_dense(random_symmetric(20, rng))
+    b = clone(a)
+    assert type(b._csr) is type(a._csr)
+    for x in _block_operands(20, rng).values():
+        assert np.array_equal(matvec(b, x), matvec(a, x))
 
 
 def _index_dtypes(a, dtype):
@@ -477,7 +564,13 @@ def test_matvec_add_names_the_scipy_version_when_the_kernel_fails(rng, monkeypat
     try:
         with pytest.raises(RuntimeError, match=f"^{version} is missing") as missing:
             sparse.matvec_add(a, np.ones((8, 3)), np.zeros((8, 3)))
+        # Every block product goes through the same kernel entry.
+        blocks = []
+        for dtype in (float, complex):
+            with pytest.raises(RuntimeError, match=f"^{version} is missing") as excinfo:
+                matvec(a, np.ones((8, 3), dtype=dtype))
+            blocks.append(excinfo)
     finally:
         sparse._add_product_kernel.cache_clear()
-    for excinfo in (rejected, missing):
+    for excinfo in (rejected, missing, *blocks):
         assert "\n" not in str(excinfo.value)
