@@ -4,19 +4,26 @@ Only real symmetric matrices are supported.  Symmetric-storage files are
 mirrored on read so the stored pattern always contains both (i, j) and
 (j, i); ``general``-storage files must already be numerically symmetric.
 
-``scipy.sparse`` is imported at the first CSR build, not with this module,
-so a process that never builds a matrix never loads it.
+eigenspan builds and keeps its own CSR arrays: one numpy builder
+(``_from_coordinates``) serves the Matrix Market reader, ``from_dense`` and
+``from_scipy``, so reading a matrix imports no ``scipy.sparse``.  Products
+call scipy's compiled CSR kernels, which ``_kernels`` loads straight from
+their extension file at the first product; ``scipy.sparse`` itself, and the
+numpy modules it imports, stay unloaded.
 
-Every block product with A is one call of scipy's in-place CSR kernel
-(``_add_product``): the count's step adds its products into an iterate
-through ``matvec_add``, and ``matvec`` multiplies a dense block through the
-matrix's own ``@`` (``_csr.BlockCSR``).  Since A is real, a complex block is
-multiplied in real arithmetic, as its float64 view; it is still billed one
-MV per complex column.
+Every product with A is one kernel call (``_add_product``): the count's step
+adds its products into an iterate through ``matvec_add``, and ``matvec``
+multiplies through the matrix's own ``@`` (``BlockCSR``).  Since A is real,
+a complex block is multiplied in real arithmetic, as its float64 view; it is
+still billed one MV per complex column.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +37,8 @@ _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 # The header fields after %%MatrixMarket, in order, with the values this reader takes.
 _HEADER = (("object", ("matrix",)), ("format", ("coordinate",)), ("field", ("real",)),
            ("symmetry", ("symmetric", "general")))
+# The extension module that holds scipy's CSR kernels.
+_SPARSETOOLS = "scipy.sparse._sparsetools"
 
 
 class MVCounter:
@@ -55,12 +64,13 @@ class MVCounter:
 class SparseSymmetric:
     """Real symmetric sparse matrix stored as explicit (both-triangles) CSR.
 
-    The constructor arguments are handed to one scipy CSR matrix (a
-    ``_csr.BlockCSR``, whose ``@`` multiplies a dense float64 or complex128
-    block by one kernel call, a complex one in real arithmetic); the three
-    array attributes are then read-only views of its arrays, so the indices
-    are stored once, in scipy's index dtype (int32 whenever it fits).
-    Complex values are refused with MatrixFormatError.
+    The constructor arguments are held by one ``BlockCSR``, whose ``@``
+    multiplies by one kernel call; the three array attributes are then
+    read-only views of its arrays, so the indices are stored once, int32
+    whenever n and the entry count fit.  The constructor trusts the arrays
+    to be sorted, duplicate-free and symmetric; the ``from_*`` builders and
+    the Matrix Market reader check that.  Complex values are refused with
+    MatrixFormatError.
 
     Attributes
     ----------
@@ -78,22 +88,17 @@ class SparseSymmetric:
     row_ptr: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
-    _csr: "_csr.BlockCSR" = field(init=False, repr=False, compare=False)
+    _csr: "BlockCSR" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        from ._csr import BlockCSR
-
         values = np.asarray(self.values)
         if values.dtype.kind == "c":
             raise MatrixFormatError(
                 f"values have dtype {values.dtype}: only real symmetric matrices are supported"
             )
-        self._csr = BlockCSR(
-            (values.astype(np.float64, copy=False), self.col_idx, self.row_ptr),
-            shape=(self.n, self.n),
-        )
+        self._csr = BlockCSR(self.n, self.row_ptr, self.col_idx, values)
         self.row_ptr, self.col_idx, self.values = (
-            _read_only(x) for x in (self._csr.indptr, self._csr.indices, self._csr.data)
+            _read_only(x) for x in (self._csr.row_ptr, self._csr.col_idx, self._csr.values)
         )
 
     @property
@@ -108,27 +113,20 @@ class SparseSymmetric:
     @classmethod
     def from_scipy(cls, a):
         """Build from any scipy sparse matrix; enforces finite values and numerical symmetry."""
-        import scipy.sparse as sp
-
-        csr = sp.csr_matrix(a)
-        if csr.shape[0] != csr.shape[1]:
-            raise NotSymmetricError(f"matrix is {csr.shape[0]}x{csr.shape[1]}, not square")
-        csr.sum_duplicates()
-        csr.sort_indices()
-        _check_finite(csr)
-        _check_numerically_symmetric(csr)
-        return cls(csr.shape[0], csr.indptr, csr.indices, csr.data)
+        coo = a.tocoo()
+        return _from_coordinates(coo.shape, coo.row, coo.col, coo.data)
 
     @classmethod
     def from_dense(cls, a):
-        """Build from a dense array, dropping exact zeros.
+        """Build from a 2-D array, dropping exact zeros.
 
         Complex input stays complex, so it is refused rather than cast to real.
         """
-        import scipy.sparse as sp
-
-        dtype = np.complex128 if np.iscomplexobj(a) else np.float64
-        return cls.from_scipy(sp.csr_matrix(np.asarray(a, dtype=dtype)))
+        a = np.atleast_2d(np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64))
+        if a.ndim != 2:
+            raise ValueError(f"expected a 2-D array, got {a.ndim} dimensions")
+        rows, cols = np.nonzero(a)
+        return _from_coordinates(a.shape, rows, cols, a[rows, cols])
 
     def toarray(self):
         return self._csr.toarray()
@@ -137,18 +135,147 @@ class SparseSymmetric:
         return self._csr.diagonal()
 
 
+class BlockCSR:
+    """The CSR arrays of a square float64 matrix, with a ``@`` that is one kernel call.
+
+    The index arrays are int32 whenever n and the entry count fit, int64
+    otherwise.  ``A @ x`` takes a dense vector or block with n rows and
+    returns a new ndarray: float32, complex64, integer and boolean operands
+    are upcast to float64 or complex128 first, as scipy does.  A vector is
+    one call of scipy's ``csr_matvec`` into a zeroed result, a block one call
+    of ``csr_matvecs``.  A complex block X_r + i X_i goes in as its
+    C-contiguous float64 view of shape (n, 2k): A is real, so
+    A X = A X_r + i A X_i is the real row loop over 2k columns, with no
+    complex copy of A's values.  Sparse and other non-numeric operands are
+    refused with TypeError.
+    """
+
+    def __init__(self, n, row_ptr, col_idx, values):
+        row_ptr, col_idx = np.asarray(row_ptr), np.asarray(col_idx)
+        values = np.asarray(values, dtype=np.float64)
+        # The kernels index x and A's arrays through these without bounds checks.
+        if not (
+            row_ptr.shape == (n + 1,) and values.ndim == 1 and col_idx.shape == values.shape
+            and row_ptr[0] == 0 and row_ptr[-1] == values.size and np.all(np.diff(row_ptr) >= 0)
+            and (values.size == 0 or 0 <= col_idx.min() <= col_idx.max() < n)
+        ):
+            raise ValueError(f"row_ptr, col_idx and values are no CSR matrix of size {n}x{n}")
+        index = np.int32 if max(n, values.size) <= np.iinfo(np.int32).max else np.int64
+        self.shape = (n, n)
+        self.row_ptr = row_ptr.astype(index, copy=False)
+        self.col_idx = col_idx.astype(index, copy=False)
+        self.values = values
+
+    def __matmul__(self, other):
+        x = np.asarray(other)
+        if x.dtype.kind not in "biufc":
+            raise TypeError(f"cannot multiply by {type(other).__name__} of dtype {x.dtype}:"
+                            " only dense numeric arrays")
+        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
+            raise ValueError(f"dimension mismatch: matrix is {self.shape[0]}x{self.shape[1]},"
+                             f" operand has shape {x.shape}")
+        dtype = np.complex128 if x.dtype.kind == "c" else np.float64
+        x = np.ascontiguousarray(x, dtype=dtype)
+        out = np.zeros(x.shape, dtype=dtype)
+        x_in, target = x, out
+        if x.ndim == 2 and dtype == np.complex128:
+            x_in, target = x.view(np.float64), out.view(np.float64)
+        _add_product(self.shape, self.row_ptr, self.col_idx, self.values, x_in, target)
+        return out
+
+    def _rows(self):
+        """Row index of every stored entry."""
+        return np.repeat(np.arange(self.shape[0], dtype=self.row_ptr.dtype), np.diff(self.row_ptr))
+
+    def toarray(self):
+        out = np.zeros(self.shape)
+        np.add.at(out, (self._rows(), self.col_idx), self.values)
+        return out
+
+    def diagonal(self):
+        rows = self._rows()
+        on = rows == self.col_idx
+        out = np.zeros(self.shape[0])
+        np.add.at(out, rows[on], self.values[on])
+        return out
+
+
 def _read_only(x):
     view = x.view()
     view.flags.writeable = False
     return view
 
 
+def _from_coordinates(shape, rows, cols, values):
+    """SparseSymmetric from 0-based coordinates, checked finite and symmetric.
+
+    A stable sort of the keys row * n + col puts the entries in CSR order
+    and keeps repeated coordinates in input order; each run of repeats is
+    then summed in that order.  Explicit zeros are kept.  Raises
+    NotSymmetricError for a non-square shape or an asymmetric result and
+    NonFiniteError for a non-finite sum, naming the 1-based (row, col) of the
+    first such entry in CSR order.
+    """
+    if shape[0] != shape[1]:
+        raise NotSymmetricError(f"matrix is {shape[0]}x{shape[1]}, not square")
+    n = shape[0]
+    key = np.asarray(rows, dtype=np.int64) * n + cols
+    order = np.argsort(key, kind="stable")
+    key, values = key[order], np.asarray(values)[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    if not first.all():
+        repeat = ~first
+        summed = values[first]
+        np.add.at(summed, np.cumsum(first)[repeat] - 1, values[repeat])
+        key, values = key[first], summed
+    rows, cols = np.divmod(key, n)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFiniteError(f"value at {_position(rows, cols, bad[0])} is not finite")
+    _check_numerically_symmetric(n, key, rows, cols, values)
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
+    return SparseSymmetric(n, row_ptr, cols, values)
+
+
+def _position(rows, cols, k):
+    """1-based (row, column) of entry k."""
+    return f"({rows[k] + 1}, {cols[k] + 1})"
+
+
+def _check_numerically_symmetric(n, key, rows, cols, values):
+    """Raise NotSymmetricError unless pattern and values are symmetric.
+
+    ``key`` holds the sorted, distinct keys row * n + col of the entries.
+    Pattern symmetry is exact (the transposed keys must be the same set,
+    explicit zeros included); values must agree with their transposes to
+    ``SYMMETRY_RTOL`` relative to max(1, |value|).
+    """
+    # The entries are in CSR order, rows ascending, so a stable sort by
+    # column alone puts the transposed keys in order; numpy sorts 16-bit
+    # keys by radix, much faster than the 64-bit ones.
+    perm = np.argsort(cols.astype(np.uint16) if n <= 1 << 16 else cols, kind="stable")
+    if not np.array_equal((cols * n + rows)[perm], key):
+        raise NotSymmetricError("stored sparsity pattern is not symmetric")
+    mirror = values[perm]
+    if np.array_equal(values, mirror):
+        return
+    diff = np.abs(values - mirror)
+    tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(values))
+    if np.any(diff > tol):
+        k = int(np.argmax(diff - tol))
+        raise NotSymmetricError(
+            f"values at {_position(rows, cols, k)} and transpose differ by {diff[k]:.3e}"
+        )
+
+
 def matvec(a, x, counter=None):
     """Apply a sparse symmetric matrix to a vector or block of vectors.
 
-    A float64 or complex128 block is multiplied by one kernel call, a
-    complex one in real arithmetic as its float64 view; a vector takes
-    scipy's one-vector kernel.
+    One kernel call through the matrix's ``@`` (``BlockCSR``): a vector
+    takes scipy's ``csr_matvec``, a block ``csr_matvecs``, a complex block
+    in real arithmetic as its float64 view.
 
     Parameters
     ----------
@@ -160,7 +287,7 @@ def matvec(a, x, counter=None):
 
     Returns
     -------
-    ndarray with the shape (and dtype promotion rules) of ``x``.
+    ndarray of ``x``'s shape: complex128 for a complex ``x``, else float64.
     """
     x = np.asarray(x)
     if x.shape[0] != a.n:
@@ -202,65 +329,69 @@ def matvec_add(a, x, out, counter=None):
 def _add_product(shape, row_ptr, col_idx, values, x, out):
     """Add the CSR matrix times ``x`` into ``out`` by one call of scipy's in-place kernel.
 
-    ``x`` (flattened in C order, so copied if not C-contiguous) and ``out``
-    (C-contiguous, written in place) have shape (n,) or (n, m).
+    A vector ``x`` of shape (n,) takes ``csr_matvec`` and a block of shape
+    (n, m) ``csr_matvecs``; ``x`` is read in C order (so copied if not
+    C-contiguous) and ``out`` (C-contiguous, of ``x``'s shape) is written
+    in place.
     """
-    columns = 1 if x.ndim == 1 else x.shape[1]
+    vector, block = _kernels()
     try:
-        _add_product_kernel()(*shape, columns, row_ptr, col_idx, values, x.ravel(), out.ravel())
+        if x.ndim == 1:
+            name = "csr_matvec"
+            vector(*shape, row_ptr, col_idx, values, x, out)
+        else:
+            name = "csr_matvecs"
+            block(*shape, x.shape[1], row_ptr, col_idx, values, x.ravel(), out.ravel())
     except (TypeError, ValueError) as exc:
-        raise _kernel_error(f"rejected its arguments ({exc})") from None
+        raise _kernel_error(name, f"rejected its arguments ({exc})") from None
 
 
-def _kernel_error(problem):
+def _kernel_error(name, problem):
     import scipy
 
-    return RuntimeError(f"scipy {scipy.__version__}: the in-place CSR kernel csr_matvecs {problem}")
+    return RuntimeError(f"scipy {scipy.__version__}: the in-place CSR kernel {name} {problem}")
 
 
 @functools.cache
-def _add_product_kernel():
-    """scipy's private kernel Y += A X (``scipy.sparse._sparsetools.csr_matvecs``), on first use."""
-    try:
-        from scipy.sparse._sparsetools import csr_matvecs
-    except ImportError:
-        raise _kernel_error("is missing from scipy.sparse._sparsetools") from None
-    return csr_matvecs
+def _kernels():
+    """scipy's private kernels y += A x and Y += A X: (``csr_matvec``, ``csr_matvecs``).
 
-
-def _entry_position(csr, k):
-    """1-based (row, column) of stored entry k of a CSR matrix."""
-    return int(np.searchsorted(csr.indptr, k, side="right")), int(csr.indices[k]) + 1
-
-
-def _check_finite(csr):
-    """Raise NonFiniteError if any stored value is NaN or infinite."""
-    bad = np.flatnonzero(~np.isfinite(csr.data))
-    if bad.size:
-        row, col = _entry_position(csr, bad[0])
-        raise NonFiniteError(f"value at ({row}, {col}) is not finite")
-
-
-def _check_numerically_symmetric(csr):
-    """Raise NotSymmetricError unless pattern and values are symmetric.
-
-    Pattern symmetry is exact (the transposed sparsity structure must match,
-    explicit zeros included); values must agree to ``SYMMETRY_RTOL`` relative
-    to max(1, |value|).
+    They live in the extension module ``scipy.sparse._sparsetools``.  An
+    ordinary import of it first runs ``scipy.sparse``'s ``__init__``, which
+    loads all of ``scipy.sparse`` and the numpy modules its array-API layer
+    clones.  So unless the module is loaded already, its file is looked up
+    next to scipy's (``importlib.util.find_spec`` runs no scipy code) and
+    loaded by itself under its real name; only when there is no such file
+    does the ordinary import run.
     """
-    t = csr.T.tocsr()
-    t.sort_indices()
-    if not (
-        np.array_equal(csr.indptr, t.indptr)
-        and np.array_equal(csr.indices, t.indices)
-    ):
-        raise NotSymmetricError("stored sparsity pattern is not symmetric")
-    diff = np.abs(csr.data - t.data)
-    tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(csr.data))
-    if np.any(diff > tol):
-        k = int(np.argmax(diff - tol))
-        row, col = _entry_position(csr, k)
-        raise NotSymmetricError(f"values at ({row}, {col}) and transpose differ by {diff[k]:.3e}")
+    module = sys.modules.get(_SPARSETOOLS) or _load_sparsetools_file()
+    try:
+        if module is None:
+            module = importlib.import_module(_SPARSETOOLS)
+        return module.csr_matvec, module.csr_matvecs
+    except (ImportError, AttributeError):
+        raise _kernel_error("csr_matvecs", f"is missing from {_SPARSETOOLS}") from None
+
+
+def _load_sparsetools_file():
+    """``scipy.sparse._sparsetools`` loaded from its file without its package, or None."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec.submodule_search_locations or ()) if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(_SPARSETOOLS, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(_SPARSETOOLS, path, loader=loader)
+                )
+                loader.exec_module(module)
+                # Loading may register it in sys.modules without its package;
+                # dropping it lets a later `import scipy.sparse` import it as
+                # usual and bind it to the package as ``_sparsetools``.
+                if sys.modules.get(_SPARSETOOLS) is module:
+                    del sys.modules[_SPARSETOOLS]
+                return module
+    return None
 
 
 def parse_matrix_market(text):
@@ -348,9 +479,7 @@ def parse_matrix_market(text):
             np.concatenate([cols, rows[off]]),
             np.concatenate([vals, vals[off]]),
         )
-    import scipy.sparse as sp
-
-    return SparseSymmetric.from_scipy(sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)))
+    return _from_coordinates((nrows, ncols), rows, cols, vals)
 
 
 def _load_entries(entries, n, n_entries):

@@ -97,17 +97,32 @@ class MappedOperator:
     def doubled(self):
         """2 l(A) = 2 scale A + 2 shift I as a new SparseSymmetric.
 
-        Built from ``a``'s CSR arrays, not from its scipy matrix; it holds
-        one more CSR copy of A while it lives.  Doubling is exact, so each
-        entry is twice the rounded entry of l(A); entries that come out
-        exactly zero are not stored.
+        Built from ``a``'s CSR arrays; it holds one more CSR copy of A while
+        it lives.  Each stored entry becomes 2 scale a_ij, plus 2 shift on
+        the diagonal; a diagonal entry A lacks goes into its sorted place in
+        its row.  Doubling is exact, so each entry is twice the rounded entry
+        of l(A).  Entries that come out exactly zero are not stored, as in
+        scipy's sparse sum.
         """
-        import scipy.sparse as sp
-
         a, tr = self.a, self.transform
-        scaled = sp.csr_matrix((2.0 * tr.scale * a.values, a.col_idx, a.row_ptr), shape=a.shape)
-        csr = scaled + 2.0 * tr.shift * sp.identity(a.n, format="csr")
-        return SparseSymmetric(a.n, csr.indptr, csr.indices, csr.data)
+        n, row_ptr, cols = a.n, a.row_ptr, a.col_idx
+        values = 2.0 * tr.scale * a.values
+        shift = 2.0 * tr.shift
+        rows = np.repeat(np.arange(n), np.diff(row_ptr))
+        # Where each row's diagonal entry is, or goes: after the row's
+        # entries left of the diagonal.
+        at = row_ptr[:-1] + np.bincount(rows[cols < rows], minlength=n)
+        present = np.zeros(n, dtype=bool)
+        inside = at < row_ptr[1:]
+        present[inside] = cols[at[inside]] == np.flatnonzero(inside)
+        values[at[present]] += shift
+        missing = np.flatnonzero(~present)
+        values = np.insert(values, at[missing], shift)
+        cols = np.insert(cols, at[missing], missing)
+        row_ptr = row_ptr + np.concatenate([[0], np.cumsum(~present)])
+        kept = values != 0.0
+        row_ptr = np.concatenate([[0], np.cumsum(kept)])[row_ptr]
+        return SparseSymmetric(n, row_ptr, cols[kept], values[kept])
 
 
 def estimate_spectral_range(a, steps=50, seed=0):

@@ -1,9 +1,27 @@
-"""Shared builders for model matrices with analytically known spectra, and a product spy."""
+"""Shared builders for model matrices with analytically known spectra, a product spy
+and a child-interpreter runner."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import scipy.sparse as sp
 
+import eigenspan
 from eigenspan import SparseSymmetric
+
+# Child interpreters import the same package tree as this process.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eigenspan.__file__)))
+
+
+def run_child(code):
+    """Run ``code`` in a fresh interpreter; return its stdout split into words."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
 
 def diag_matrix(values):

@@ -26,12 +26,11 @@ from eigenspan.cli import build_parser, main
 from eigenspan import fit_slope
 
 import report_diff
-from helpers import ColumnSpy, force_panels, laplacian_1d, laplacian_2d, laplacian_eigs
+from helpers import (CHILD_ENV, ColumnSpy, force_panels, laplacian_1d, laplacian_2d,
+                     laplacian_eigs, run_child)
 
 
 DIAG_EV = np.linspace(-1.0, 1.0, 200)
-# Child interpreters import the same package tree as this process.
-CHILD_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eigenspan.__file__)))
 
 
 def _schema():
@@ -486,7 +485,7 @@ def test_count_pinned_to_one_cpu_writes_the_same_report(matrices, tmp_path):
         f"assert main({argv + [str(pinned)]!r}) == 0\n"
         "print(usable_cpus())\n"
     )
-    assert _child(code) == ["1"]
+    assert run_child(code) == ["1"]
     assert main(argv + [str(here)]) == 0
     old, new = (json.loads(path.read_text()) for path in (pinned, here))
     assert list(report_diff.diff(old, new)) == []
@@ -831,11 +830,7 @@ def test_import_loads_no_dense_scipy_subpackages():
         "print(' '.join(m for m in sys.modules "
         "if m.startswith(('scipy.linalg', 'scipy.integrate'))))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    assert run_child(code) == []
 
 
 # Prints which of the two start-up-heavy libraries the child has loaded.
@@ -844,16 +839,8 @@ _PRINT_HEAVY = (
 )
 
 
-def _child(code):
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
-
-
 def test_import_loads_neither_scipy_sparse_nor_jsonschema():
-    assert _child("import sys, eigenspan, eigenspan.cli\n" + _PRINT_HEAVY) == []
+    assert run_child("import sys, eigenspan, eigenspan.cli\n" + _PRINT_HEAVY) == []
 
 
 def test_probe_run_loads_neither_scipy_sparse_nor_jsonschema(tmp_path):
@@ -865,11 +852,11 @@ def test_probe_run_loads_neither_scipy_sparse_nor_jsonschema(tmp_path):
         f"             '--points=0.1', '--d-max', '400', '--out', {str(out)!r}]) == 0\n"
         + _PRINT_HEAVY
     )
-    assert _child(code) == []
+    assert run_child(code) == []
     assert out.read_text().startswith("d,t,")
 
 
-def test_count_run_loads_both_and_still_validates_its_report(matrices, tmp_path):
+def test_count_run_loads_jsonschema_alone_and_still_validates_its_report(matrices, tmp_path):
     # The second count hands _emit_json a report without its command: the
     # lazily built validator must still refuse it, and nothing is written.
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
@@ -887,9 +874,37 @@ def test_count_run_loads_both_and_still_validates_its_report(matrices, tmp_path)
         "except jsonschema.ValidationError:\n"
         "    print('rejected')\n"
     )
-    assert _child(code) == ["scipy.sparse", "jsonschema", "rejected"]
+    assert run_child(code) == ["jsonschema", "rejected"]
     assert json.loads(good.read_text())["command"] == "count"
     assert not bad.exists()
+
+
+def test_loading_solving_and_counting_never_import_scipy_sparse(matrices, tmp_path):
+    # Every path that builds a matrix or multiplies by one: the reader, the
+    # filter solve, the contour baseline (complex blocks), from_dense and a
+    # whole count run.  The products go through scipy's compiled kernels,
+    # loaded from their own file.
+    path = tmp_path / "lap300.mtx"
+    eigenspan.save_matrix_market(laplacian_1d(300), path)
+    argv = ["count", "--matrix-path", matrices["lap12"], "--a", "1.9", "--b", "2.1",
+            "--report-path", str(tmp_path / "count.json")]
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import eigenspan.cli as cli\n"
+        "from eigenspan import (exact_transform, load_matrix_market, make_interval, run_baseline,\n"
+        "                       solve_interval, SparseSymmetric)\n"
+        f"a = load_matrix_market({str(path)!r})\n"
+        "rep, _, _ = solve_interval(a, 1.9, 2.1, bounds=(0.0, 4.0), seed=1)\n"
+        "tr = exact_transform(0.0, 4.0)\n"
+        "v0 = np.random.default_rng(2).standard_normal((a.n, 6))\n"
+        "base = run_baseline(a, tr, make_interval(tr, 1.9, 2.1), 4, 6, v0, n_ev_target=2)\n"
+        "small = SparseSymmetric.from_dense(np.diag([1.0, 2.0]))\n"
+        "assert np.array_equal(small._csr @ np.ones(2), [1.0, 2.0])\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(rep.converged, base.converged, 'scipy.sparse' in sys.modules)\n"
+    )
+    assert run_child(code) == ["True", "True", "False"]
 
 
 def test_module_entry_point_help():

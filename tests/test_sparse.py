@@ -23,7 +23,8 @@ from eigenspan import (
     write_matrix_market,
 )
 from eigenspan import sparse
-from helpers import ColumnSpy, laplacian_2d, random_symmetric
+from helpers import (ColumnSpy, diag_matrix, laplacian_1d, laplacian_2d, random_symmetric,
+                     run_child)
 
 SYMMETRIC_2X2 = """%%MatrixMarket matrix coordinate real symmetric
 2 2 2
@@ -72,6 +73,21 @@ def test_general_storage_with_asymmetric_pattern_rejected():
 """
     with pytest.raises(NotSymmetricError):
         parse_matrix_market(text)
+
+
+@pytest.mark.parametrize("n", [65536, 65537])
+def test_symmetry_is_checked_on_both_sides_of_the_16_bit_column_sort(n):
+    # Column indices below 2^16 are sorted as 16-bit keys, larger ones not.
+    def text(value, col):
+        return (f"%%MatrixMarket matrix coordinate real general\n{n} {n} 3\n"
+                f"1 {n} 1.0\n{n} 1 {value}\n2 {col} 4.0\n")
+
+    a = parse_matrix_market(text("1.0", 2))
+    assert (a.col_idx.tolist(), a.values.tolist()) == ([n - 1, 1, 0], [1.0, 4.0, 1.0])
+    with pytest.raises(NotSymmetricError, match=rf"^values at \(1, {n}\) and transpose differ"):
+        parse_matrix_market(text("1.5", 2))
+    with pytest.raises(NotSymmetricError, match="^stored sparsity pattern is not symmetric$"):
+        parse_matrix_market(text("1.0", n))
 
 
 def test_non_square_size_line_rejected():
@@ -233,6 +249,72 @@ def test_duplicate_entries_are_summed():
     np.testing.assert_array_equal(a.toarray(), [[2.5]])
 
 
+def test_repeated_coordinates_sum_in_file_order():
+    # (1e16 + 1) - 1e16 is 0 in file order; any other order gives 1 or 2.
+    text = "%%MatrixMarket matrix coordinate real general\n1 1 3\n1 1 1e16\n1 1 1\n1 1 -1e16\n"
+    a = parse_matrix_market(text)
+    assert (a.nnz, a.values.tolist()) == (1, [0.0])
+
+
+def _scipy_built(text):
+    """The CSR arrays the reader got from scipy.sparse before it built its own.
+
+    The coordinates go to scipy as the reader handed them over: in file
+    order, then the mirrored off-diagonal ones of a symmetric file.
+    """
+    lines = [line.split() for line in text.splitlines()[1:]
+             if line.strip() and not line.lstrip().startswith("%")]
+    n = int(lines[0][0])
+    rows, cols = (np.array([int(t[k]) - 1 for t in lines[1:]], dtype=np.int64) for k in (0, 1))
+    vals = np.array([float(t[2]) for t in lines[1:]])
+    if text.split("\n", 1)[0].lower().endswith("symmetric"):
+        off = rows != cols
+        rows, cols, vals = (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]),
+                            np.concatenate([vals, vals[off]]))
+    csr = sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+    csr.sum_duplicates()
+    csr.sort_indices()
+    csr = sp.csr_matrix((csr.data, csr.indices, csr.indptr), shape=(n, n))
+    return csr.indptr, csr.indices, csr.data
+
+
+def _bench_matrices():
+    """Matrix Market text of the benchmark's three matrices, by workload name."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {name: workloads.laplacian_mtx(w) for name, w in workloads.WORKLOADS.items()
+            if "n" in w or "grid" in w}
+
+
+def test_the_builder_gives_the_arrays_scipy_built(tmp_path):
+    # The files the tests parse (the module's texts and the matrices the CLI
+    # and policy tests save), then the benchmark's three.
+    texts = {name: text for name, text in globals().items() if name.isupper()
+             and isinstance(text, str) and text.startswith("%%MatrixMarket")}
+    texts["DUPLICATES"] = "%%MatrixMarket matrix coordinate real general\n2 2 4\n" \
+        "1 1 1.0\n2 2 3.0\n1 1 1.5\n2 2 0.25\n"
+    texts["one"] = "%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 2.0\n"
+    for name, a in [("diag", diag_matrix(np.linspace(-1.0, 1.0, 200))),
+                    ("lap1d", laplacian_1d(1000)), ("lap1d-12", laplacian_1d(12)),
+                    ("grid12", laplacian_2d(12)), ("grid99", laplacian_2d(99)),
+                    ("grid100", laplacian_2d(100))]:
+        texts[name] = write_matrix_market(a)
+    texts.update(_bench_matrices())
+    assert len(texts) == 14
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.mtx"
+        path.write_text(text)
+        a = load_matrix_market(path)
+        for got, expected in zip((a.row_ptr, a.col_idx, a.values), _scipy_built(text)):
+            assert got.dtype == expected.dtype, name
+            assert np.array_equal(got, expected), name
+
+
 def test_explicit_zeros_are_kept():
     text = (
         "%%MatrixMarket matrix coordinate real general\n"
@@ -320,7 +402,7 @@ def test_write_then_parse_round_trips_csr_arrays(rng):
 def test_grid_round_trips_csr_arrays_through_the_bulk_parser(rng, monkeypatch):
     # The 100 x 100 grid's pattern with random symmetric values; every line
     # is well formed, so the line-by-line scan must not run.
-    upper = sp.triu(laplacian_2d(100)._csr).tocoo()
+    upper = sp.triu(_scipy_csr(laplacian_2d(100))).tocoo()
     upper.data = rng.standard_normal(upper.nnz)
     a = SparseSymmetric.from_scipy(upper + sp.triu(upper, 1).T)
     monkeypatch.setattr(sparse, "_scan_entries", lambda *args: pytest.fail("line scan ran"))
@@ -368,6 +450,19 @@ def test_complex_values_are_refused_not_cast_to_real(build):
     with pytest.raises(MatrixFormatError,
                        match="^values have dtype complex128: only real symmetric matrices"):
         build()
+
+
+@pytest.mark.parametrize("n, row_ptr, col_idx", [
+    (2, [0, 1, 2], [0, 10**9]), (2, [0, 1, 2], [0, 2**32]), (2, [0, 1, 2], [-1, 1]),
+    (3, [0, 2, 1, 2], [0, 1]),
+    (2, [1, 1, 2], [0, 1]), (2, [0, 1, 3], [0, 1]), (2, [0, 2], [0, 1]),
+], ids=["column-past-n", "column-past-int32", "negative-column", "falling-row-ptr", "row-ptr-not-from-0",
+        "row-ptr-past-nnz", "short-row-ptr"])
+def test_the_constructor_refuses_arrays_the_kernels_would_read_out_of_bounds(n, row_ptr, col_idx):
+    # The kernels check no index: the first case crashed the process in a product.
+    message = f"^row_ptr, col_idx and values are no CSR matrix of size {n}x{n}$"
+    with pytest.raises(ValueError, match=message):
+        SparseSymmetric(n, np.array(row_ptr), np.array(col_idx), np.ones(len(col_idx)))
 
 
 def test_csr_invariants_hold(rng):
@@ -444,11 +539,16 @@ def _block_operands(n, rng):
     }
 
 
+def _scipy_csr(a):
+    """scipy's CSR matrix on ``a``'s arrays."""
+    return sp.csr_matrix((a.values, a.col_idx, a.row_ptr), shape=a.shape)
+
+
 @pytest.mark.parametrize("name", list(_block_operands(1, np.random.default_rng(0))))
 def test_block_products_equal_scipys_own(rng, name):
     a = SparseSymmetric.from_dense(random_symmetric(30, rng))
     x = _block_operands(30, rng)[name]
-    got, expected = a._csr @ x, sp.csr_matrix(a._csr) @ x
+    got, expected = a._csr @ x, _scipy_csr(a) @ x
     assert (type(got), got.dtype, got.shape) == (np.ndarray, expected.dtype, expected.shape)
     assert np.array_equal(got, expected)
 
@@ -456,39 +556,81 @@ def test_block_products_equal_scipys_own(rng, name):
 @pytest.mark.parametrize("x", [
     np.linspace(-1.0, 1.0, 30), np.linspace(-1.0, 1.0, 30) * (1.0 - 2.0j),
     np.ones((30, 3), dtype=np.float32), np.ones((30, 3), dtype=np.complex64),
-    np.arange(90).reshape(30, 3), sp.random(30, 4, density=0.3, random_state=1, format="csr"),
-], ids=["real-1d", "complex-1d", "float32", "complex64", "int64", "sparse"])
-def test_vectors_other_dtypes_and_sparse_operands_take_scipys_own_product(rng, monkeypatch, x):
+    np.arange(90).reshape(30, 3),
+], ids=["real-1d", "complex-1d", "float32", "complex64", "int64"])
+def test_vectors_other_dtypes_and_sparse_operands_take_scipys_own_product(rng, x):
+    # Vectors go through scipy's one-vector kernel; other dtypes are upcast
+    # to float64 or complex128 first, as scipy upcasts them.  Sparse
+    # operands are refused (the next test).
     a = SparseSymmetric.from_dense(random_symmetric(30, rng))
-    expected = sp.csr_matrix(a._csr) @ x
-    monkeypatch.setattr(sparse, "_add_product_kernel", lambda: pytest.fail("block kernel called"))
-    got = a._csr @ x
-    assert (sp.issparse(got), got.dtype, got.shape) == (sp.issparse(expected), expected.dtype,
-                                                        expected.shape)
-    if sp.issparse(got):
-        got, expected = got.toarray(), expected.toarray()
+    got, expected = a._csr @ x, _scipy_csr(a) @ x
+    assert (type(got), got.dtype, got.shape) == (np.ndarray, expected.dtype, expected.shape)
     assert np.array_equal(got, expected)
 
 
-def test_a_complex_matrix_scipy_derives_takes_scipys_own_product(rng):
-    # scipy's arithmetic keeps the subclass; the kernel path takes float64 matrices only.
+@pytest.mark.parametrize("x, kernel_operand", [
+    (np.ones((30, 4)), (np.float64, (30, 4))),
+    (np.ones((30, 4), dtype=np.complex64), (np.float64, (30, 8))),
+    (np.ones(30, dtype=np.complex128), (np.complex128, (30,))),
+], ids=["real-block", "complex-block", "complex-vector"])
+def test_a_complex_block_reaches_the_kernel_as_its_float64_view(rng, monkeypatch, x,
+                                                                 kernel_operand):
     a = SparseSymmetric.from_dense(random_symmetric(30, rng))
-    scaled = a._csr * 1j
-    x = _block_operands(30, rng)["real"]
-    got, expected = scaled @ x, sp.csr_matrix(scaled) @ x
-    assert got.dtype == expected.dtype == np.complex128
-    assert np.array_equal(got, expected)
+    add, operands = sparse._add_product, []
+
+    def spy(shape, row_ptr, col_idx, values, x, out):
+        operands.append((x.dtype, x.shape))
+        add(shape, row_ptr, col_idx, values, x, out)
+
+    monkeypatch.setattr(sparse, "_add_product", spy)
+    assert np.array_equal(a._csr @ x, _scipy_csr(a) @ x)
+    assert operands == [kernel_operand]
+
+
+@pytest.mark.parametrize("x", [
+    sp.random(30, 4, density=0.3, random_state=1, format="csr"), np.array(["1"] * 30),
+], ids=["sparse", "str"])
+def test_a_sparse_or_non_numeric_operand_is_refused(rng, monkeypatch, x):
+    a = SparseSymmetric.from_dense(random_symmetric(30, rng))
+    monkeypatch.setattr(sparse, "_kernels", lambda: pytest.fail("kernel called"))
+    with pytest.raises(TypeError, match="only dense numeric arrays"):
+        a._csr @ x
 
 
 def test_matvec_bills_a_complex_block_one_mv_per_column(rng):
     a = SparseSymmetric.from_dense(random_symmetric(12, rng))
     z = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
-    expected = sp.csr_matrix(a._csr) @ z
+    expected = _scipy_csr(a) @ z
     spy = ColumnSpy(a._csr)
     a._csr = spy
     counter = MVCounter()
     assert np.array_equal(matvec(a, z, counter), expected)
     assert counter.count == spy.columns == 5
+
+
+def test_scipy_sparse_still_imports_after_products_and_multiplies_alike():
+    # A fresh interpreter, so the products load the kernels from their file
+    # before anything imports scipy.sparse.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from eigenspan import SparseSymmetric\n"
+        "rng = np.random.default_rng(7)\n"
+        "g = rng.standard_normal((30, 30))\n"
+        "a = SparseSymmetric.from_dense(np.where(np.abs(g + g.T) > 1.0, g + g.T, 0.0))\n"
+        "real = rng.standard_normal((30, 10))\n"
+        "cplx = real + 1j * rng.standard_normal((30, 10))\n"
+        "operands = [x for z in (real, cplx) for x in (\n"
+        "    z[:, :4].copy(), np.asfortranarray(z[:, :4]), z[:, 3:7], z[:, ::3], z[:, :0],\n"
+        "    z[:, 5])]\n"
+        "ours = [a._csr @ x for x in operands]\n"
+        "print('scipy.sparse' in sys.modules)\n"
+        "import scipy.sparse as sp\n"
+        "theirs = sp.csr_matrix((a.values, a.col_idx, a.row_ptr), shape=a.shape)\n"
+        "print(all(np.array_equal(y, theirs @ x) and y.dtype == (theirs @ x).dtype\n"
+        "          and np.array_equal(a._csr @ x, y) for x, y in zip(operands, ours)))\n"
+    )
+    assert run_child(code) == ["False", "True"]
 
 
 @pytest.mark.parametrize("clone", [lambda a: pickle.loads(pickle.dumps(a)), copy.deepcopy],
@@ -551,7 +693,10 @@ def test_matvec_add_refuses_a_read_only_out_and_a_dimension_mismatch(rng):
         sparse.matvec_add(a, np.ones((5, 3)), np.zeros((5, 3)))
 
 
-def test_matvec_add_names_the_scipy_version_when_the_kernel_fails(rng, monkeypatch):
+def test_matvec_add_names_the_scipy_version_when_the_kernel_fails(rng, monkeypatch, tmp_path):
+    import importlib.machinery
+    import importlib.util
+
     import scipy
 
     a = SparseSymmetric.from_dense(random_symmetric(8, rng))
@@ -559,18 +704,35 @@ def test_matvec_add_names_the_scipy_version_when_the_kernel_fails(rng, monkeypat
     # Complex operands need a complex out, which the kernel refuses to fill.
     with pytest.raises(RuntimeError, match=f"^{version} rejected its arguments") as rejected:
         sparse.matvec_add(a, np.ones((8, 3), dtype=complex), np.zeros((8, 3)))
-    monkeypatch.setitem(sys.modules, "scipy.sparse._sparsetools", None)
-    sparse._add_product_kernel.cache_clear()
+    name = "scipy.sparse._sparsetools"
+    monkeypatch.delitem(sys.modules, name)
+    sparse._kernels.cache_clear()
     try:
+        # Loaded from its file, the module is left out of sys.modules; the
+        # ordinary import would have put it there.
+        sparse._kernels()
+        assert name not in sys.modules
+        # With no kernel file next to scipy's, the ordinary import serves.
+        no_file = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        no_file.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: no_file)
+        sparse._kernels.cache_clear()
+        out = np.zeros((8, 3))
+        sparse.matvec_add(a, np.ones((8, 3)), out)
+        assert name in sys.modules
+        assert np.array_equal(out, a.toarray() @ np.ones((8, 3)))
+        # With the ordinary import missing too, each product names the kernel.
+        monkeypatch.setitem(sys.modules, name, None)
+        sparse._kernels.cache_clear()
         with pytest.raises(RuntimeError, match=f"^{version} is missing") as missing:
             sparse.matvec_add(a, np.ones((8, 3)), np.zeros((8, 3)))
-        # Every block product goes through the same kernel entry.
-        blocks = []
-        for dtype in (float, complex):
+        # Every product goes through the same kernel entry.
+        products = []
+        for x in (np.ones(8), np.ones((8, 3)), np.ones((8, 3), dtype=complex)):
             with pytest.raises(RuntimeError, match=f"^{version} is missing") as excinfo:
-                matvec(a, np.ones((8, 3), dtype=dtype))
-            blocks.append(excinfo)
+                matvec(a, x)
+            products.append(excinfo)
     finally:
-        sparse._add_product_kernel.cache_clear()
-    for excinfo in (rejected, missing, *blocks):
+        sparse._kernels.cache_clear()
+    for excinfo in (rejected, missing, *products):
         assert "\n" not in str(excinfo.value)

@@ -17,6 +17,7 @@ from eigenspan import (
     make_interval,
     mapped_interval,
 )
+from eigenspan import parse_matrix_market
 from helpers import diag_matrix, laplacian_1d, laplacian_eigs, random_symmetric
 
 
@@ -207,3 +208,26 @@ def test_mapped_operator_counts_columns(rng):
     build_moment_block(op, rng.standard_normal((6, 1)), spec, counter)
     build_moment_block(op, rng.standard_normal((6, 4)), spec, counter)
     assert counter.count == 5
+
+
+def test_doubled_equals_scipys_sparse_sum():
+    # 2 l(A) = A - 2 I under this map.  Row 2 lacks its diagonal (entries on
+    # both sides of it), row 5 is empty, (1, 1) = 2 cancels to exactly 0, and
+    # the explicit zeros at (1, 3) and (3, 1) come out 0: all three zeros go.
+    import scipy.sparse as sp
+
+    a = parse_matrix_market(
+        "%%MatrixMarket matrix coordinate real symmetric\n5 5 6\n"
+        "1 1 2.0\n2 1 1.0\n3 1 0.0\n4 2 3.0\n3 3 5.0\n4 4 2.5\n"
+    )
+    tr = exact_transform(0.0, 4.0)
+    doubled = MappedOperator(a, tr).doubled()
+    expected = (
+        sp.csr_matrix((2.0 * tr.scale * a.values, a.col_idx, a.row_ptr), shape=a.shape)
+        + 2.0 * tr.shift * sp.identity(a.n, format="csr")
+    )
+    for got, want in zip((doubled.row_ptr, doubled.col_idx, doubled.values),
+                         (expected.indptr, expected.indices, expected.data)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert doubled.nnz == a.nnz - 3 + 2
